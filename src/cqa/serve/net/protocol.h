@@ -132,7 +132,8 @@ Result<SolverMethod> ParseSolverMethod(const std::string& name);
 Result<WireRequest> DecodeRequest(const std::string& frame);
 
 /// Daemon-level counters, exposed through "stats" frames next to the
-/// embedded `ServiceStats`.
+/// embedded `ServiceStats`. To add one, add the member and a row to
+/// `kDaemonStatsFields`.
 struct DaemonStats {
   uint64_t connections_opened = 0;
   uint64_t connections_active = 0;
@@ -179,19 +180,47 @@ struct DaemonStats {
   uint64_t follower_snapshots_applied = 0;
   uint64_t follower_deltas_applied = 0;
   uint64_t follower_apply_errors = 0;
-  // Sandbox accounting, folded from the service layer at snapshot time
-  // (see FoldSandboxCounters and the ServiceStats field docs).
-  uint64_t sandbox_forks = 0;
-  uint64_t sandbox_kills = 0;
-  uint64_t sandbox_crashes = 0;
-  uint64_t sandbox_rss_breaches = 0;
-  uint64_t sandbox_peak_rss_kb = 0;
 };
 
-/// Copies the sandbox counters of a service snapshot into the daemon
-/// counters (they are owned by the service layer but read as daemon-level
-/// operational signals, so stats frames surface them in both places).
-void FoldSandboxCounters(DaemonStats* daemon, const ServiceStats& service);
+/// The one list of `DaemonStats` counters, in the same role as
+/// `kServiceStatsFields`. Daemon counters are never merged, so every row
+/// keeps the default rule. Stats frames also carry the service's
+/// `sandbox_*` counters in the daemon object (see `EncodeStatsFrame`).
+inline constexpr StatsField<DaemonStats> kDaemonStatsFields[] = {
+    {"connections_opened", &DaemonStats::connections_opened},
+    {"connections_active", &DaemonStats::connections_active},
+    {"connections_closed_garbage", &DaemonStats::connections_closed_garbage},
+    {"connections_closed_oversize",
+     &DaemonStats::connections_closed_oversize},
+    {"connections_closed_idle", &DaemonStats::connections_closed_idle},
+    {"connections_closed_error", &DaemonStats::connections_closed_error},
+    {"frames_received", &DaemonStats::frames_received},
+    {"frames_garbage", &DaemonStats::frames_garbage},
+    {"solves_admitted", &DaemonStats::solves_admitted},
+    {"solves_rejected_inflight_cap",
+     &DaemonStats::solves_rejected_inflight_cap},
+    {"solves_rejected_overloaded", &DaemonStats::solves_rejected_overloaded},
+    {"answers_streams", &DaemonStats::answers_streams},
+    {"answers_resumed", &DaemonStats::answers_resumed},
+    {"answer_chunks_sent", &DaemonStats::answer_chunks_sent},
+    {"answer_tuples_sent", &DaemonStats::answer_tuples_sent},
+    {"answers_stale_cursors", &DaemonStats::answers_stale_cursors},
+    {"databases_attached", &DaemonStats::databases_attached},
+    {"databases_detached", &DaemonStats::databases_detached},
+    {"solves_rejected_detached", &DaemonStats::solves_rejected_detached},
+    {"deltas_applied", &DaemonStats::deltas_applied},
+    {"deltas_rejected", &DaemonStats::deltas_rejected},
+    {"repl_streams_opened", &DaemonStats::repl_streams_opened},
+    {"repl_streams_closed", &DaemonStats::repl_streams_closed},
+    {"repl_events_sent", &DaemonStats::repl_events_sent},
+    {"repl_acks_received", &DaemonStats::repl_acks_received},
+    {"repl_lag", &DaemonStats::repl_lag},
+    {"follower_connects", &DaemonStats::follower_connects},
+    {"follower_disconnects", &DaemonStats::follower_disconnects},
+    {"follower_snapshots_applied", &DaemonStats::follower_snapshots_applied},
+    {"follower_deltas_applied", &DaemonStats::follower_deltas_applied},
+    {"follower_apply_errors", &DaemonStats::follower_apply_errors},
+};
 
 /// One attached instance as reported by db_list frames and attach acks.
 struct WireDbEntry {
@@ -226,10 +255,13 @@ std::string EncodeHealthFrame(uint64_t id, bool draining,
                               bool follower = false);
 /// `per_db` breaks the service counters out per attached database (keyed
 /// by registry name) under a "databases" object, so operators can see
-/// which instance is cold; `service` stays the cross-shard aggregate.
+/// which instance is cold. The "service" object is `MergeStats(per_db)`,
+/// so it always agrees with the breakdown; the daemon object carries the
+/// daemon counters plus the aggregate's `sandbox_*` counters (owned by the
+/// service layer but read as daemon-level operational signals).
 std::string EncodeStatsFrame(
-    uint64_t id, const ServiceStats& service, const DaemonStats& daemon,
-    const std::vector<std::pair<std::string, ServiceStats>>& per_db = {});
+    uint64_t id, const DaemonStats& daemon,
+    const std::vector<std::pair<std::string, ServiceStats>>& per_db);
 std::string EncodeCancelAckFrame(uint64_t id, uint64_t target, bool found);
 std::string EncodeAttachAckFrame(uint64_t id, const WireDbEntry& entry);
 std::string EncodeDetachAckFrame(uint64_t id, const std::string& name,

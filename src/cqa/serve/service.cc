@@ -29,8 +29,7 @@ SolveService::SolveService(ServiceOptions options)
                    }
                  : BoundedQueue<RequestPtr>::BeforeFn(nullptr)) {
   if (options_.cache_entries > 0) {
-    cache_ = std::make_unique<ResultCache>(options_.cache_entries,
-                                           options_.cache_shards);
+    cache_ = std::make_unique<ResultCache>(options_.cache_entries);
   }
   int workers = std::max(options_.workers, 1);
   workers_.reserve(static_cast<size_t>(workers));

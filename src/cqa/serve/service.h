@@ -208,8 +208,6 @@ struct ServiceOptions {
   /// before admission on a hit, and concurrent identical misses coalesce
   /// onto a single worker (single-flight).
   size_t cache_entries = 0;
-  /// Shards of the cache's LRU map (clamped to [1, cache_entries]).
-  size_t cache_shards = 8;
   /// Isolation policy for jobs that leave `ServeJob::isolation` at
   /// `kAuto`: `kInproc` (the default) runs every solve on the worker
   /// thread; `kFork` sandboxes every solve; `kAuto` escalates to a

@@ -1,6 +1,7 @@
 #include "cqa/serve/stats.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace cqa {
 
@@ -113,41 +114,38 @@ ServiceStats StatsCollector::Snapshot() const {
 
 std::string ServiceStats::ToString() const {
   std::string s;
-  s += "submitted " + std::to_string(submitted);
-  s += ", accepted " + std::to_string(accepted);
-  s += ", shed " + std::to_string(shed);
-  s += ", completed " + std::to_string(completed);
-  s += ", failed " + std::to_string(failed);
-  s += ", cancelled " + std::to_string(cancelled);
-  s += ", retries " + std::to_string(retries);
-  s += ", degraded " + std::to_string(degraded);
-  s += "; cache hits " + std::to_string(cache_hits);
-  s += " misses " + std::to_string(cache_misses);
-  s += " coalesced " + std::to_string(cache_coalesced);
-  s += " bypass " + std::to_string(cache_bypass);
-  s += " entries " + std::to_string(cache_entries);
-  s += " evictions " + std::to_string(cache_evictions);
-  s += "; epoch " + std::to_string(epoch);
-  s += " deltas " + std::to_string(deltas_applied);
-  s += " journal-bytes " + std::to_string(journal_bytes);
-  s += " snapshots " + std::to_string(snapshots_taken);
-  s += " snapshot-failures " + std::to_string(snapshots_failed);
-  s += "; sandbox forks " + std::to_string(sandbox_forks);
-  s += " kills " + std::to_string(sandbox_kills);
-  s += " crashes " + std::to_string(sandbox_crashes);
-  s += " rss-breaches " + std::to_string(sandbox_rss_breaches);
-  s += " peak-rss-kb " + std::to_string(sandbox_peak_rss_kb);
-  s += "; parallel solves " + std::to_string(parallel_solves);
-  s += " components " + std::to_string(components_found);
-  s += " steals " + std::to_string(parallel_steals);
-  s += "; answers chunks " + std::to_string(answer_chunks);
-  s += " tuples " + std::to_string(answer_tuples);
-  s += " stale-cursors " + std::to_string(answers_stale_cursors);
-  s += "; latency us p50 " + std::to_string(latency_p50_us);
-  s += " p90 " + std::to_string(latency_p90_us);
-  s += " p99 " + std::to_string(latency_p99_us);
-  s += " max " + std::to_string(latency_max_us);
+  for (const StatsField<ServiceStats>& field : kServiceStatsFields) {
+    // A unit suffix moves onto the value: latency_p50_us prints as
+    // "latency_p50 12us".
+    std::string_view name = field.name;
+    std::string_view unit;
+    for (std::string_view suffix : {"_us", "_kb"}) {
+      if (name.ends_with(suffix)) {
+        name.remove_suffix(suffix.size());
+        unit = suffix.substr(1);
+      }
+    }
+    if (!s.empty()) s += ", ";
+    s += name;
+    s += ' ';
+    s += std::to_string(this->*field.member);
+    s += unit;
+  }
   return s;
+}
+
+ServiceStats MergeStats(
+    const std::vector<std::pair<std::string, ServiceStats>>& per_db) {
+  ServiceStats total;
+  for (const auto& [name, stats] : per_db) {
+    for (const StatsField<ServiceStats>& field : kServiceStatsFields) {
+      uint64_t& into = total.*field.member;
+      uint64_t from = stats.*field.member;
+      into = field.merge == StatsMerge::kMax ? std::max(into, from)
+                                             : into + from;
+    }
+  }
+  return total;
 }
 
 }  // namespace cqa

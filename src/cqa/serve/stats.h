@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cqa {
@@ -15,6 +16,10 @@ namespace cqa {
 /// `retries` counts extra attempts, not requests; `degraded` counts
 /// completions whose verdict was qualified (probably-certain / exhausted)
 /// rather than exact.
+///
+/// To add a counter, add the member here and one row to
+/// `kServiceStatsFields` below: that row is the counter's wire key, its
+/// text-summary name and its cross-shard merge rule.
 struct ServiceStats {
   uint64_t submitted = 0;
   uint64_t accepted = 0;
@@ -105,8 +110,77 @@ struct ServiceStats {
   uint64_t latency_p99_us = 0;
   uint64_t latency_max_us = 0;
 
+  /// Every field as "name value", in `kServiceStatsFields` order.
   std::string ToString() const;
 };
+
+/// How one counter combines across shards. `kSum` for counts and for
+/// gauges whose fleet value is a total; `kMax` for high-water marks and
+/// latency percentiles. Percentiles of a union of samples cannot be
+/// rebuilt from the shards' percentiles, so the aggregate reports the
+/// worst shard's: exact with one shard, an upper bound otherwise.
+enum class StatsMerge { kSum, kMax };
+
+/// One row of a stats struct's field table: wire key, member, merge rule.
+template <typename Stats>
+struct StatsField {
+  const char* name;
+  uint64_t Stats::*member;
+  StatsMerge merge = StatsMerge::kSum;
+};
+
+/// The one list of `ServiceStats` counters. Stats frames, `ToString` and
+/// `MergeStats` all walk it, so a counter added here shows up everywhere.
+inline constexpr StatsField<ServiceStats> kServiceStatsFields[] = {
+    {"submitted", &ServiceStats::submitted},
+    {"accepted", &ServiceStats::accepted},
+    {"shed", &ServiceStats::shed},
+    {"completed", &ServiceStats::completed},
+    {"failed", &ServiceStats::failed},
+    {"cancelled", &ServiceStats::cancelled},
+    {"retries", &ServiceStats::retries},
+    {"degraded", &ServiceStats::degraded},
+    {"inflight", &ServiceStats::inflight},
+    {"cache_hits", &ServiceStats::cache_hits},
+    {"cache_misses", &ServiceStats::cache_misses},
+    {"cache_coalesced", &ServiceStats::cache_coalesced},
+    {"cache_bypass", &ServiceStats::cache_bypass},
+    {"cache_entries", &ServiceStats::cache_entries},
+    {"cache_evictions", &ServiceStats::cache_evictions},
+    {"cache_invalidated", &ServiceStats::cache_invalidated},
+    {"cache_rekeyed", &ServiceStats::cache_rekeyed},
+    {"epoch", &ServiceStats::epoch},
+    {"deltas_applied", &ServiceStats::deltas_applied},
+    {"journal_bytes", &ServiceStats::journal_bytes},
+    {"journal_fsyncs", &ServiceStats::journal_fsyncs},
+    {"snapshots_taken", &ServiceStats::snapshots_taken},
+    {"snapshots_failed", &ServiceStats::snapshots_failed},
+    {"snapshot_bytes", &ServiceStats::snapshot_bytes},
+    {"snapshot_epoch", &ServiceStats::snapshot_epoch, StatsMerge::kMax},
+    {"sandbox_forks", &ServiceStats::sandbox_forks},
+    {"sandbox_kills", &ServiceStats::sandbox_kills},
+    {"sandbox_crashes", &ServiceStats::sandbox_crashes},
+    {"sandbox_rss_breaches", &ServiceStats::sandbox_rss_breaches},
+    {"sandbox_peak_rss_kb", &ServiceStats::sandbox_peak_rss_kb,
+     StatsMerge::kMax},
+    {"parallel_solves", &ServiceStats::parallel_solves},
+    {"components_found", &ServiceStats::components_found},
+    {"parallel_steals", &ServiceStats::parallel_steals},
+    {"answer_chunks", &ServiceStats::answer_chunks},
+    {"answer_tuples", &ServiceStats::answer_tuples},
+    {"answers_stale_cursors", &ServiceStats::answers_stale_cursors},
+    {"latency_count", &ServiceStats::latency_count},
+    {"latency_p50_us", &ServiceStats::latency_p50_us, StatsMerge::kMax},
+    {"latency_p90_us", &ServiceStats::latency_p90_us, StatsMerge::kMax},
+    {"latency_p99_us", &ServiceStats::latency_p99_us, StatsMerge::kMax},
+    {"latency_max_us", &ServiceStats::latency_max_us, StatsMerge::kMax},
+};
+
+/// The cross-database aggregate of per-database snapshots (as
+/// `ShardedSolveService::StatsPerDb` returns them): every field merged by
+/// its `kServiceStatsFields` rule.
+ServiceStats MergeStats(
+    const std::vector<std::pair<std::string, ServiceStats>>& per_db);
 
 /// Thread-safe collector behind `ServiceStats`. Counters are plain
 /// increments under a mutex (contention is dwarfed by the solves

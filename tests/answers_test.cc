@@ -214,7 +214,9 @@ TEST(AnswerCursorTest, EveryCharacterCorruptionIsCaught) {
     if (corrupt == text) continue;
     Result<AnswerCursor> back = DecodeAnswerCursor(corrupt);
     EXPECT_FALSE(back.ok()) << "flip at " << i << " went undetected";
-    if (!back.ok()) EXPECT_EQ(back.code(), ErrorCode::kParse);
+    if (!back.ok()) {
+      EXPECT_EQ(back.code(), ErrorCode::kParse);
+    }
   }
 }
 

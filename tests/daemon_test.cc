@@ -309,6 +309,77 @@ TEST(DaemonTest, HealthAndStatsFrames) {
   EXPECT_GE(daemon->Find("frames_received")->AsInt(), 3);
 }
 
+// Every key of a wire object, in wire order.
+std::vector<std::string> Keys(const Json& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.AsObject()) keys.push_back(key);
+  return keys;
+}
+
+TEST(DaemonTest, StatsFrameAggregatesAnswerCountersAndKeepsItsKeys) {
+  DaemonFixture f;
+  JsonObjectBuilder answers;
+  answers.Set("type", "answers").Set("id", uint64_t{1}).Set("query",
+                                                             "R(x | y)");
+  answers.Set("free", Json::MakeArray({Json::MakeString("x")}));
+  ASSERT_TRUE(f.Send(answers.Build().Serialize()).ok());
+  Result<WireResponse> done = f.client.WaitTerminal(1, kIo);
+  ASSERT_TRUE(done.ok()) << done.error();
+  ASSERT_EQ(done->type, "answer_done") << done->raw.Serialize();
+  ASSERT_TRUE(f.Send(R"({"type":"stats","id":2})").ok());
+  Result<WireResponse> stats = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(stats.ok()) << stats.error();
+  ASSERT_EQ(stats->type, "stats");
+  const Json* service = stats->raw.Find("service");
+  const Json* daemon = stats->raw.Find("daemon");
+  const Json* dbs = stats->raw.Find("databases");
+  ASSERT_NE(service, nullptr);
+  ASSERT_NE(daemon, nullptr);
+  ASSERT_NE(dbs, nullptr);
+  const Json* shard = dbs->Find(SolveDaemon::kDefaultDbName);
+  ASSERT_NE(shard, nullptr);
+  // The top-level object is the aggregate of the per-database ones, the
+  // answer-stream counters included.
+  EXPECT_GT(service->Find("answer_chunks")->AsInt(), 0)
+      << stats->raw.Serialize();
+  EXPECT_EQ(service->Find("answer_chunks")->AsInt(),
+            shard->Find("answer_chunks")->AsInt());
+  EXPECT_EQ(service->Find("answer_tuples")->AsInt(),
+            shard->Find("answer_tuples")->AsInt());
+
+  // Clients and perfbench read these keys: the sets and their order are
+  // part of the wire contract.
+  const std::vector<std::string> service_keys = {
+      "accepted", "answer_chunks", "answer_tuples", "answers_stale_cursors",
+      "cache_bypass", "cache_coalesced", "cache_entries", "cache_evictions",
+      "cache_hits", "cache_invalidated", "cache_misses", "cache_rekeyed",
+      "cancelled", "completed", "components_found", "degraded",
+      "deltas_applied", "epoch", "failed", "inflight", "journal_bytes",
+      "journal_fsyncs", "latency_count", "latency_max_us", "latency_p50_us",
+      "latency_p90_us", "latency_p99_us", "parallel_solves",
+      "parallel_steals", "retries", "sandbox_crashes", "sandbox_forks",
+      "sandbox_kills", "sandbox_peak_rss_kb", "sandbox_rss_breaches", "shed",
+      "snapshot_bytes", "snapshot_epoch", "snapshots_failed",
+      "snapshots_taken", "submitted"};
+  const std::vector<std::string> daemon_keys = {
+      "answer_chunks_sent", "answer_tuples_sent", "answers_resumed",
+      "answers_stale_cursors", "answers_streams", "connections_active",
+      "connections_closed_error", "connections_closed_garbage",
+      "connections_closed_idle", "connections_closed_oversize",
+      "connections_opened", "databases_attached", "databases_detached",
+      "deltas_applied", "deltas_rejected", "follower_apply_errors",
+      "follower_connects", "follower_deltas_applied", "follower_disconnects",
+      "follower_snapshots_applied", "frames_garbage", "frames_received",
+      "repl_acks_received", "repl_events_sent", "repl_lag",
+      "repl_streams_closed", "repl_streams_opened", "sandbox_crashes",
+      "sandbox_forks", "sandbox_kills", "sandbox_peak_rss_kb",
+      "sandbox_rss_breaches", "solves_admitted", "solves_rejected_detached",
+      "solves_rejected_inflight_cap", "solves_rejected_overloaded"};
+  EXPECT_EQ(Keys(*service), service_keys);
+  EXPECT_EQ(Keys(*shard), service_keys);
+  EXPECT_EQ(Keys(*daemon), daemon_keys);
+}
+
 TEST(DaemonTest, MalformedFrameFailsTheFrameNotTheConnection) {
   DaemonFixture f;
   ASSERT_TRUE(f.Send("{this is not json").ok());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -17,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "cqa/answers/cursor.h"
+#include "cqa/delta/delta.h"
 #include "cqa/gen/families.h"
 #include "cqa/query/parser.h"
 #include "cqa/registry/database_registry.h"
@@ -154,12 +157,10 @@ struct Outcome {
   bool delivered = false;
 };
 
-// Submits and waits for the terminal response.
-Outcome SolveOn(ShardedSolveService& service, const std::string& db,
-                const char* query_text,
-                std::string* resolved = nullptr) {
+// Submits `job` and waits for the terminal response.
+Outcome RunOn(ShardedSolveService& service, const std::string& db,
+              ServeJob job, std::string* resolved = nullptr) {
   auto state = std::make_shared<std::pair<std::mutex, Outcome>>();
-  ServeJob job(Q(query_text), nullptr);
   Result<uint64_t> id = service.Submit(
       db, std::move(job),
       [state](const ServeResponse& r) {
@@ -182,6 +183,12 @@ Outcome SolveOn(ShardedSolveService& service, const std::string& db,
   }
   ADD_FAILURE() << "terminal response never delivered";
   return Outcome{};
+}
+
+Outcome SolveOn(ShardedSolveService& service, const std::string& db,
+                const char* query_text,
+                std::string* resolved = nullptr) {
+  return RunOn(service, db, ServeJob(Q(query_text), nullptr), resolved);
 }
 
 ShardedServiceOptions CachedOptions() {
@@ -383,6 +390,61 @@ TEST(ShardedServiceTest, ShutdownStopsAttachesAndAggregatesStats) {
   EXPECT_EQ(late.code(), ErrorCode::kOverloaded);
   // Stats stay readable after shutdown (shards are kept, not destroyed).
   EXPECT_EQ(service.Stats().completed, 2u);
+}
+
+TEST(ShardedServiceTest, AggregateIsTheFieldwiseMergeOfTheShards) {
+  ShardedSolveService service(CachedOptions());
+  ASSERT_TRUE(service.Attach("a", Db(kDbA)).ok());
+  ASSERT_TRUE(service.Attach("b", Db(kDbB)).ok());
+  const Query answers_query = Q("R(x | y)");
+  for (const char* db : {"a", "b"}) {
+    ASSERT_TRUE(SolveOn(service, db, kDifferentialQuery).delivered);
+    ServeJob answers(answers_query, nullptr);
+    answers.kind = JobKind::kAnswers;
+    answers.free_vars = {"x"};
+    Outcome chunk = RunOn(service, db, std::move(answers));
+    ASSERT_TRUE(chunk.delivered);
+    ASSERT_TRUE(chunk.response.result.ok()) << chunk.response.result.error();
+  }
+  // A resume cursor naming an epoch the shard never had.
+  AnswerCursor stale;
+  stale.position = 1;
+  stale.query_hash = AnswerQueryHash(answers_query, {"x"});
+  stale.fingerprint = DbFingerprint{0xdeadbeefull, 0xfeedfaceull};
+  ServeJob resume(answers_query, nullptr);
+  resume.kind = JobKind::kAnswers;
+  resume.free_vars = {"x"};
+  resume.cursor = EncodeAnswerCursor(stale);
+  Result<uint64_t> refused =
+      service.Submit("b", std::move(resume), [](const ServeResponse&) {});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), ErrorCode::kStaleCursor);
+  FactDelta delta;
+  delta.id = "d1";
+  delta.ops.push_back(DeltaOp{/*insert=*/false, "S", {"b", "a"}});
+  ASSERT_TRUE(service.ApplyDelta("a", delta).ok());
+  // Quiesce so both reads below see the same counters.
+  ASSERT_TRUE(service.Shutdown(milliseconds(1'000)));
+
+  std::vector<std::pair<std::string, ServiceStats>> per_db =
+      service.StatsPerDb();
+  ASSERT_EQ(per_db.size(), 2u);
+  const ServiceStats& a = per_db[0].second;
+  const ServiceStats& b = per_db[1].second;
+  EXPECT_EQ(a.answer_chunks, 1u);
+  EXPECT_EQ(b.answer_chunks, 1u);
+  EXPECT_EQ(b.answers_stale_cursors, 1u);
+  EXPECT_EQ(a.deltas_applied, 1u);
+
+  ServiceStats total = service.Stats();
+  for (const StatsField<ServiceStats>& field : kServiceStatsFields) {
+    uint64_t from_a = a.*field.member;
+    uint64_t from_b = b.*field.member;
+    uint64_t expected = field.merge == StatsMerge::kMax
+                            ? std::max(from_a, from_b)
+                            : from_a + from_b;
+    EXPECT_EQ(total.*field.member, expected) << field.name;
+  }
 }
 
 }  // namespace
