@@ -202,6 +202,22 @@ Result<SolveReport> RunSampling(const Query& q, const Database& db,
 
 }  // namespace
 
+SolverMethod AutoEngine(const Query& q, const Classification& classification) {
+  if (classification.cls == CertaintyClass::kFO) {
+    return SolverMethod::kAlgorithm1;
+  }
+  if (DetectQ1Shape(q).has_value()) return SolverMethod::kMatchingQ1;
+  return SolverMethod::kBacktracking;
+}
+
+Result<bool> DecideWithEngine(SolverMethod engine, const Query& q,
+                              const Database& db, Budget* budget) {
+  uint64_t native_steps = 0;
+  SolveReport unused;
+  return RunExact(engine, q, db, budget, /*warm=*/nullptr, /*warm_key=*/"",
+                  /*parallelism=*/1, &native_steps, &unused);
+}
+
 Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
                                    SolverMethod method) {
   SolveOptions options;
@@ -226,13 +242,7 @@ Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
 
   SolverMethod chosen = options.method;
   if (chosen == SolverMethod::kAuto) {
-    if (report.classification.cls == CertaintyClass::kFO) {
-      chosen = SolverMethod::kAlgorithm1;
-    } else if (DetectQ1Shape(q).has_value()) {
-      chosen = SolverMethod::kMatchingQ1;
-    } else {
-      chosen = SolverMethod::kBacktracking;
-    }
+    chosen = AutoEngine(q, report.classification);
   }
   report.used = chosen;
 

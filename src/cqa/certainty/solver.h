@@ -131,6 +131,19 @@ struct SolveReport {
   std::shared_ptr<const AnswerChunk> answer_chunk;
 };
 
+/// The exact engine `kAuto` dispatches `q` to, given its classification:
+/// Algorithm 1 for the FO class, the matching solver for the q1 shape,
+/// backtracking otherwise.
+SolverMethod AutoEngine(const Query& q, const Classification& classification);
+
+/// Runs one exact engine on `q` with no classification and no
+/// degradation — for callers that chose the engine once for many
+/// groundings of one query (answer streams, Lemma 6.10). The engine's own
+/// preconditions still apply (`kUnsupported` outside its domain); `kAuto`
+/// and `kSampling` are rejected with `kInternal`.
+Result<bool> DecideWithEngine(SolverMethod engine, const Query& q,
+                              const Database& db, Budget* budget = nullptr);
+
 /// Unified entry point: decides whether `q` is true in every repair of `db`.
 Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
                                    SolverMethod method = SolverMethod::kAuto);

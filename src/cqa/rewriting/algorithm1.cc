@@ -1,7 +1,9 @@
 #include "cqa/rewriting/algorithm1.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
+#include <unordered_set>
 
 #include "cqa/attack/attack_graph.h"
 #include "cqa/db/eval.h"
@@ -28,6 +30,25 @@ bool MatchTerms(const std::vector<Term>& pattern, const Tuple& values,
       } else {
         out->emplace(t.var(), values[i]);
       }
+    }
+  }
+  return true;
+}
+
+// True iff `pattern` maps onto `values`: MatchTerms' test without
+// collecting the bindings. The candidate filters run it once per fact
+// scanned, where building a Valuation per fact cost a grounded poll q2
+// candidate about a third more time (22.7 vs 16.7 us on poll 500).
+bool MapsOnto(const std::vector<Term>& pattern, const Tuple& values) {
+  assert(pattern.size() == values.size());
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    const Term& t = pattern[i];
+    if (t.is_constant()) {
+      if (t.constant() != values[i]) return false;
+      continue;
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (pattern[j] == t && values[j] != values[i]) return false;
     }
   }
   return true;
@@ -112,7 +133,8 @@ bool Algorithm1::Rec(const Query& q) {
 
 // key(F) has variables: reify them, i.e. search for one constant valuation
 // of key(F) that makes the substituted query certain (Corollary 6.9
-// justifies trying single valuations; candidates come from db columns).
+// justifies trying single valuations; candidates come from the facts that
+// the query's own positive atoms map onto).
 bool Algorithm1::CaseKeyVars(const Query& q, size_t pick) {
   const Atom& atom = q.atom(pick);
   std::vector<Term> key_terms(atom.terms().begin(),
@@ -120,41 +142,44 @@ bool Algorithm1::CaseKeyVars(const Query& q, size_t pick) {
 
   if (!q.IsNegated(pick)) {
     // θ(F) must be key-equal to a fact of every repair, hence to a block of
-    // the database: enumerate R-block keys matching the key pattern.
-    for (const Database::Block& block : db_.blocks()) {
-      if (block.relation != atom.relation()) continue;
+    // F's relation, and Case 3 then needs F to map onto every fact of that
+    // block: only keys of facts F itself maps onto are worth a call.
+    std::unordered_set<Tuple, TupleHash> tried;
+    for (const Tuple& fact : db_.FactsOf(atom.relation())) {
+      if (!MapsOnto(atom.terms(), fact)) continue;
+      Tuple key(fact.begin(), fact.begin() + atom.key_len());
+      if (!tried.insert(key).second) continue;
       Valuation theta;
-      if (MatchTerms(key_terms, block.key, &theta)) {
-        if (RecCached(SubstituteAll(q, theta))) return true;
-      }
+      MatchTerms(key_terms, key, &theta);  // cannot fail: all of F matched
+      if (RecCached(SubstituteAll(q, theta))) return true;
     }
     return false;
   }
 
   // Negated atom with variable key: candidate values for each key variable
-  // come from the column of some positive atom containing it (safety
-  // guarantees one exists; any certain valuation must use db values there).
+  // come from a positive atom P containing it (safety guarantees one
+  // exists). A valuation that makes q certain extends, in every repair, to
+  // one mapping P into db — so only facts P maps onto (its constants equal,
+  // its repeated variables agreeing) supply candidates, not P's whole
+  // column.
   SymbolSet key_vars = atom.KeyVars();
   std::vector<Symbol> vars = key_vars.items();
   std::vector<std::vector<Value>> candidates;
   for (Symbol v : vars) {
     std::vector<Value> vals;
-    bool have = false;
     for (const Literal& l : q.literals()) {
       if (l.negated) continue;
-      for (int i = 0; i < l.atom.arity() && !have; ++i) {
-        if (l.atom.term(i).is_variable() && l.atom.term(i).var() == v) {
-          std::unordered_map<Value, bool, ValueHash> seen;
-          db_.ForEachFact(l.atom.relation(), [&](const Tuple& tuple) {
-            if (seen.emplace(tuple[static_cast<size_t>(i)], true).second) {
-              vals.push_back(tuple[static_cast<size_t>(i)]);
-            }
-            return true;
-          });
-          have = true;
+      const std::vector<Term>& terms = l.atom.terms();
+      auto at = std::find(terms.begin(), terms.end(), Term::VarOf(v));
+      if (at == terms.end()) continue;
+      const size_t i = static_cast<size_t>(at - terms.begin());
+      std::unordered_set<Value, ValueHash> seen;
+      for (const Tuple& fact : db_.FactsOf(l.atom.relation())) {
+        if (MapsOnto(terms, fact) && seen.insert(fact[i]).second) {
+          vals.push_back(fact[i]);
         }
       }
-      if (have) break;
+      break;
     }
     if (vals.empty()) return false;  // no positive match possible at all
     candidates.push_back(std::move(vals));

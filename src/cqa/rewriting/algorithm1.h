@@ -36,7 +36,8 @@ struct Algorithm1Options {
 /// CERTAINTY(q) on `db` without materialising the first-order rewriting.
 /// Unlike the rewriter it substitutes real constants (taken from `db`)
 /// rather than reifying symbolically, so candidate key valuations range
-/// over the relevant columns only.
+/// only over facts that a positive atom of the query maps onto (its
+/// constants equal, its repeated variables agreeing).
 ///
 /// Requires q weakly guarded with an acyclic attack graph.
 class Algorithm1 {

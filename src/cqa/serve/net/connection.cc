@@ -145,7 +145,11 @@ void Connection::ReaderLoop() {
   using Clock = std::chrono::steady_clock;
   char buf[4096];
   Clock::time_point last_activity = Clock::now();
-  std::optional<Clock::time_point> partial_since;
+  // Whether a frame is partly read, and since when: a plain flag and an
+  // always-initialised time point (not an optional, which GCC 12 reports
+  // as maybe-uninitialized through the chrono arithmetic below).
+  bool partial = false;
+  Clock::time_point partial_since{};
   std::vector<std::string> frames;
 
   while (!closing_.load()) {
@@ -162,7 +166,7 @@ void Connection::ReaderLoop() {
           CloseAfterFlush(CloseReason::kIdle);
           break;
         }
-        if (partial_since && now - *partial_since >= options_.read_deadline) {
+        if (partial && now - partial_since >= options_.read_deadline) {
           EnqueueFromReader(EncodeErrorFrame(
               std::nullopt, ErrorCode::kDeadlineExceeded,
               "read deadline: frame not completed in time", /*fatal=*/true));
@@ -198,9 +202,12 @@ void Connection::ReaderLoop() {
       break;
     }
     if (decoder_.pending_bytes() > 0) {
-      if (!partial_since) partial_since = Clock::now();
+      if (!partial) {
+        partial = true;
+        partial_since = Clock::now();
+      }
     } else {
-      partial_since.reset();
+      partial = false;
     }
   }
   // Whatever ended the read loop — disconnect, deadline, garbage limit,
@@ -820,6 +827,7 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
         job->free_vars = s.free_vars;
         job->answer_max_chunk = s.max_chunk;
         job->cursor = s.cursor;
+        job->answer_plan = s.plan;
         job->method = s.method;
         job->timeout = s.timeout;
         job->max_steps = s.max_steps;
@@ -971,6 +979,7 @@ bool Connection::ProcessAnswerResponse(uint64_t client_id,
         streams_.erase(it);
       } else {
         s.cursor = response.answer_cursor;
+        s.plan = response.answer_plan;
         // Write-deadline backpressure, stream-shaped: past the outbound
         // soft cap the stream parks — nothing queued, nothing running,
         // no worker pinned — until the writer drains below the cap. A

@@ -247,6 +247,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
     std::chrono::milliseconds chaos_sleep{0};
     /// Cursor for the next chunk (empty = start of the stream).
     std::string cursor;
+    /// The stream's plan, from its last chunk's response; sent down with
+    /// the next chunk job (null until the first chunk has run).
+    std::shared_ptr<const AnswerPlan> plan;
     /// Service id of the chunk job in flight (0 between chunks).
     uint64_t service_id = 0;
     uint64_t answers = 0;  // tuples delivered so far

@@ -360,17 +360,37 @@ SolveService::RequestPtr SolveService::Process(const RequestPtr& req, Rng* rng,
       // position-complete, reusable), kExhausted for a budget-truncated
       // partial one — which `IsCacheableReport` rejects, so a retry or a
       // later identical submission re-runs instead of reusing a stub.
-      std::vector<Symbol> frees;
-      frees.reserve(req->job.free_vars.size());
-      for (const std::string& name : req->job.free_vars) {
-        frees.push_back(InternSymbol(name));
+      // One plan per stream: classification, sorted candidate lists and
+      // (for `kRewriting`) the formula come down with the job and are
+      // reused, unless they were built for another epoch or stream.
+      std::shared_ptr<const AnswerPlan>& plan = req->job.answer_plan;
+      if (plan != nullptr &&
+          (plan->fingerprint != req->fp ||
+           plan->query_hash != req->query_hash ||
+           plan->method != req->job.method)) {
+        plan = nullptr;
       }
-      EnumerateOptions eopts;
-      eopts.start = req->job.answer_start;
-      eopts.max_chunk = req->job.answer_max_chunk;
-      eopts.method = req->job.method;
-      Result<AnswerChunk> enumerated = EnumerateAnswerChunk(
-          req->job.query, frees, *req->job.db, eopts, &budget);
+      Result<AnswerChunk> enumerated =
+          Result<AnswerChunk>::Error(ErrorCode::kInternal, "no answer plan");
+      if (plan == nullptr) {
+        std::vector<Symbol> frees;
+        frees.reserve(req->job.free_vars.size());
+        for (const std::string& name : req->job.free_vars) {
+          frees.push_back(InternSymbol(name));
+        }
+        Result<std::shared_ptr<const AnswerPlan>> built = MakeAnswerPlan(
+            req->job.query, frees, *req->job.db, req->job.method);
+        if (built.ok()) {
+          plan = std::move(built.value());
+        } else {
+          enumerated = Result<AnswerChunk>::Error(built);
+        }
+      }
+      if (plan != nullptr) {
+        enumerated =
+            EnumerateAnswerChunk(*plan, *req->job.db, req->job.answer_start,
+                                 req->job.answer_max_chunk, &budget);
+      }
       if (enumerated.ok()) {
         AnswerChunk chunk = std::move(enumerated.value());
         stats_.RecordAnswerChunk(chunk.answers.size());
@@ -492,6 +512,9 @@ SolveService::RequestPtr SolveService::Finish(const RequestPtr& req,
     cursor.query_hash = req->query_hash;
     cursor.fingerprint = req->fp;
     response.answer_cursor = EncodeAnswerCursor(cursor);
+  }
+  if (req->job.kind == JobKind::kAnswers) {
+    response.answer_plan = req->job.answer_plan;
   }
   bool degraded = ok && (response.result->verdict == Verdict::kProbablyCertain ||
                          response.result->verdict == Verdict::kExhausted);

@@ -31,6 +31,8 @@
 
 namespace cqa {
 
+struct AnswerPlan;
+
 /// Per-job cache participation.
 enum class CachePolicy {
   /// Look up before admission, coalesce onto an identical in-flight solve,
@@ -130,6 +132,11 @@ struct ServeJob {
   /// Validated at `Submit`: malformed or mismatching the query fails with
   /// `kParse`; a fingerprint from another epoch fails with `kStaleCursor`.
   std::string cursor;
+  /// Optional stream plan (answers/enumerator.h) from this stream's
+  /// previous chunk (`ServeResponse::answer_plan`). Used only when it
+  /// serves this job's query, free variables and method on the epoch the
+  /// job is admitted under; otherwise the worker builds a fresh one.
+  std::shared_ptr<const AnswerPlan> answer_plan;
 };
 
 /// How a request left the service. Shed requests never enter the system:
@@ -164,6 +171,11 @@ struct ServeResponse {
   /// for the *current* fingerprint, never a stale stored one. Empty when
   /// the stream is done or the job was not an answers job.
   std::string answer_cursor;
+  /// For `kAnswers` jobs: the plan the chunk was enumerated with (or the
+  /// job's own plan when no enumeration ran, e.g. on a cache hit), for the
+  /// caller to pass down with the stream's next chunk. Never stored in the
+  /// result cache: the caller's stream owns it.
+  std::shared_ptr<const AnswerPlan> answer_plan;
 };
 
 /// Consumption order of the bounded work queue.

@@ -19,11 +19,13 @@
 #include <vector>
 
 #include "cqa/answers/cursor.h"
+#include "cqa/answers/enumerator.h"
 #include "cqa/base/interner.h"
 #include "cqa/cache/fingerprint.h"
 #include "cqa/certainty/certain_answers.h"
 #include "cqa/delta/delta.h"
 #include "cqa/query/parser.h"
+#include "cqa/registry/sharded_service.h"
 #include "cqa/serve/net/client.h"
 #include "cqa/serve/net/daemon.h"
 #include "cqa/serve/net/json.h"
@@ -58,7 +60,7 @@ constexpr const char* kStreamQuery = "R(x | y), not S(x | y)";
 std::string StreamFacts(int keys, int blocked_every) {
   std::string text;
   for (int i = 0; i < keys; ++i) {
-    char key[8];
+    char key[16];  // room for any int: no -Wformat-truncation
     std::snprintf(key, sizeof key, "k%02d", i);
     text += std::string("R(") + key + " | " + key + ")\n";
     if (blocked_every > 0 && i % blocked_every == 0) {
@@ -283,6 +285,87 @@ TEST(AnswersServiceTest, CursorForAnotherQueryOrGarbageFailsParse) {
   EXPECT_EQ(service.Stats().answers_stale_cursors, 0u)
       << "parse failures are not staleness";
   service.Shutdown(milliseconds(1'000));
+}
+
+// Rows of one chunk, wire-shaped.
+std::vector<std::vector<std::string>> ChunkRows(const ServeResponse& r) {
+  std::vector<std::vector<std::string>> rows;
+  for (const Tuple& tuple : r.result->answer_chunk->answers) {
+    std::vector<std::string> row;
+    for (const Value& value : tuple) row.push_back(std::string(value.name()));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// The plan travels with the stream: each response hands back the plan its
+// chunk used, the next chunk job reuses it within the epoch, and after an
+// `apply_delta` the old plan is never used — the worker rebuilds one on
+// the epoch the job was admitted under.
+TEST(AnswersServiceTest, StreamPlanIsReusedWithinAnEpochAndRebuiltAfterADelta) {
+  ShardedServiceOptions options;
+  options.shard.workers = 1;
+  options.shard.cache_entries = 64;
+  ShardedSolveService service(options);
+  const Query q = Q(kStreamQuery);
+  ASSERT_TRUE(service.Attach("main", Db(StreamFacts(12, 3))).ok());
+
+  auto submit = [&](ServeJob job) {
+    auto state = std::make_shared<std::promise<ServeResponse>>();
+    std::future<ServeResponse> done = state->get_future();
+    Result<uint64_t> id = service.Submit(
+        "main", std::move(job),
+        [state](const ServeResponse& r) { state->set_value(r); });
+    EXPECT_TRUE(id.ok()) << (id.ok() ? "" : id.error());
+    return done.get();
+  };
+
+  ServeResponse first = submit(AnswersJob(q, nullptr, 2));
+  ASSERT_TRUE(first.result.ok()) << first.result.error();
+  ASSERT_NE(first.answer_plan, nullptr);
+  const std::shared_ptr<const AnswerPlan> old_plan = first.answer_plan;
+
+  // Same epoch: the next chunk runs on the very plan it was handed.
+  ServeJob second_job = AnswersJob(q, nullptr, 2, first.answer_cursor);
+  second_job.answer_plan = old_plan;
+  ServeResponse second = submit(std::move(second_job));
+  ASSERT_TRUE(second.result.ok()) << second.result.error();
+  EXPECT_EQ(second.answer_plan, old_plan);
+
+  // A delta blocks k01 and adds k99: new epoch, new candidate list.
+  FactDelta delta;
+  delta.id = "d1";
+  delta.ops = {{true, "S", {"k01", "k01"}}, {true, "R", {"k99", "k99"}}};
+  Result<DeltaOutcome> applied = service.ApplyDelta("main", delta);
+  ASSERT_TRUE(applied.ok()) << applied.error();
+  Result<DatabaseRegistry::Entry> entry = service.registry().Get("main");
+  ASSERT_TRUE(entry.ok()) << entry.error();
+  const Database& now = *entry->db;
+  const auto expected = OneShotRows(q, {"x"}, now);
+
+  // A fresh stream on the new epoch handed the old plan (the chunk cache
+  // cannot answer it: the delta invalidated R/S entries) drains to the new
+  // epoch's answers, on a plan built for that epoch.
+  std::vector<std::vector<std::string>> streamed;
+  std::shared_ptr<const AnswerPlan> plan = old_plan;
+  std::string cursor;
+  for (int chunks = 0;; ++chunks) {
+    ASSERT_LT(chunks, 100) << "stream did not terminate";
+    ServeJob job = AnswersJob(q, nullptr, 2, cursor);
+    job.answer_plan = plan;
+    ServeResponse r = submit(std::move(job));
+    ASSERT_TRUE(r.result.ok()) << r.result.error();
+    ASSERT_NE(r.answer_plan, nullptr);
+    EXPECT_NE(r.answer_plan, old_plan);
+    EXPECT_EQ(r.answer_plan->fingerprint, FingerprintDatabase(now));
+    auto rows = ChunkRows(r);
+    streamed.insert(streamed.end(), rows.begin(), rows.end());
+    if (r.result->answer_chunk->done) break;
+    plan = r.answer_plan;
+    cursor = r.answer_cursor;
+  }
+  EXPECT_EQ(streamed, expected);
+  service.Shutdown(milliseconds(2'000));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@
 
 #include "cqa/answers/cursor.h"
 #include "cqa/answers/enumerator.h"
+#include "cqa/attack/classification.h"
 #include "cqa/base/rng.h"
 #include "cqa/certainty/certain_answers.h"
+#include "cqa/gen/poll.h"
 #include "cqa/gen/random_db.h"
 #include "cqa/gen/random_query.h"
 #include "cqa/query/parser.h"
@@ -301,6 +303,161 @@ TEST(AnswerDifferentialTest, SolverAgreesWithRewritingOnRandomInstances) {
   }
   // The generator parameters must actually exercise the rewriting class.
   EXPECT_GE(compared, 100) << "differential corpus too small";
+}
+
+// ---------------------------------------------------------------------------
+// AnswerPlan: one plan per stream
+
+// Sorts tuples into the enumerator's canonical order: lexicographic by
+// value spelling, first column most significant.
+std::vector<Tuple> Canonical(std::vector<Tuple> tuples) {
+  std::sort(tuples.begin(), tuples.end(), [](const Tuple& a, const Tuple& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i]) return a[i].name() < b[i].name();
+    }
+    return false;
+  });
+  return tuples;
+}
+
+// A small random query with one or two free variables (drawn from its
+// positive variables), FO or not.
+struct RandomStream {
+  Query q;
+  std::vector<Symbol> frees;
+};
+
+RandomStream DrawStream(Rng* rng) {
+  RandomQueryOptions qopts;
+  qopts.max_positive = 2;
+  qopts.max_negative = 2;
+  qopts.max_arity = 2;
+  qopts.num_vars = 3;
+  qopts.constant_prob = 0.2;
+  for (;;) {
+    Query q = GenerateRandomQuery(qopts, rng);
+    std::vector<Symbol> positive = q.PositiveVars().items();
+    if (positive.empty()) continue;
+    std::vector<Symbol> frees = {positive[rng->Below(positive.size())]};
+    if (positive.size() > 1 && rng->Chance(0.5)) {
+      Symbol second = positive[rng->Below(positive.size())];
+      if (second != frees[0]) frees.push_back(second);
+    }
+    return {std::move(q), std::move(frees)};
+  }
+}
+
+TEST(AnswerPlanTest, OnePlanChunksExactlyLikeAFreshPlanPerChunk) {
+  Rng rng(20'261'019);
+  RandomDbOptions dopts;
+  dopts.blocks_per_relation = 4;
+  dopts.domain_size = 4;
+  int nonempty = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    RandomStream s = DrawStream(&rng);
+    Database db = GenerateRandomDatabaseFor(s.q, dopts, &rng);
+    Result<CertainAnswers> one_shot = ComputeCertainAnswers(s.q, s.frees, db);
+    ASSERT_TRUE(one_shot.ok()) << one_shot.error();
+    const std::vector<Tuple> expected = Canonical(one_shot->answers);
+    nonempty += !expected.empty();
+    Result<std::shared_ptr<const AnswerPlan>> plan =
+        MakeAnswerPlan(s.q, s.frees, db, SolverMethod::kAuto);
+    ASSERT_TRUE(plan.ok()) << plan.error();
+    for (uint64_t chunk_size : {1u, 2u, 3u, 7u, 64u}) {
+      // Chunk by chunk, the shared plan and a fresh plan per chunk agree
+      // on every span and every answer.
+      std::vector<Tuple> with_plan;
+      uint64_t start = 0;
+      for (int guard = 0; guard < 10'000; ++guard) {
+        Result<AnswerChunk> a =
+            EnumerateAnswerChunk(**plan, db, start, chunk_size);
+        EnumerateOptions opts;
+        opts.start = start;
+        opts.max_chunk = chunk_size;
+        Result<AnswerChunk> b = EnumerateAnswerChunk(s.q, s.frees, db, opts);
+        ASSERT_TRUE(a.ok()) << a.error();
+        ASSERT_TRUE(b.ok()) << b.error();
+        ASSERT_EQ(a->next, b->next) << s.q.ToString();
+        ASSERT_EQ(a->total, b->total);
+        ASSERT_EQ(a->answers, b->answers) << s.q.ToString();
+        ASSERT_EQ(a->free_vars, b->free_vars);
+        with_plan.insert(with_plan.end(), a->answers.begin(),
+                         a->answers.end());
+        if (a->done) break;
+        start = a->next;
+      }
+      EXPECT_EQ(with_plan, expected)
+          << s.q.ToString() << " chunk " << chunk_size << "\n"
+          << db.ToString();
+      EXPECT_EQ(Drain(s.q, s.frees, db, chunk_size), expected);
+    }
+  }
+  EXPECT_GE(nonempty, 30) << "too few streams with answers";
+}
+
+// The plan classifies the query with its free variables reified, once.
+// Every grounded candidate must then go to exactly the engine `kAuto`
+// would pick for it — classifying the plain query instead sends q2's
+// candidates (plain q2 is L-hard, q2 with p fixed is FO) to backtracking.
+TEST(AnswerPlanTest, PlanEngineIsWhatAutoPicksForEveryGroundedCandidate) {
+  auto check = [](const Query& q, const std::vector<Symbol>& frees,
+                  const Database& db) {
+    Result<std::shared_ptr<const AnswerPlan>> plan =
+        MakeAnswerPlan(q, frees, db, SolverMethod::kAuto);
+    ASSERT_TRUE(plan.ok()) << plan.error();
+    const std::vector<std::vector<Value>>& lists = (*plan)->candidates;
+    for (uint64_t pos = 0; pos < (*plan)->total; ++pos) {
+      Query ground = q;
+      uint64_t rem = pos;
+      for (size_t i = lists.size(); i-- > 0;) {
+        ground = ground.Substituted(frees[i], lists[i][rem % lists[i].size()]);
+        rem /= lists[i].size();
+      }
+      Result<SolveReport> report = SolveCertainty(ground, db);
+      ASSERT_TRUE(report.ok()) << report.error();
+      ASSERT_EQ((*plan)->engine, report->used)
+          << "candidate " << ground.ToString() << " of " << q.ToString();
+      ASSERT_EQ((*plan)->classification.cls, report->classification.cls)
+          << "candidate " << ground.ToString() << " of " << q.ToString();
+    }
+  };
+
+  const Symbol p = InternSymbol("p");
+  Rng poll_rng(31);
+  PollDbOptions popts;
+  popts.num_persons = 12;
+  popts.num_towns = 4;
+  Database poll = GeneratePollDatabase(popts, &poll_rng);
+  for (const Query& q : {PollQ1(), PollQ2(), PollQa(), PollQb()}) {
+    check(q, {p}, poll);
+  }
+  Result<std::shared_ptr<const AnswerPlan>> q2 =
+      MakeAnswerPlan(PollQ2(), {p}, poll, SolverMethod::kAuto);
+  ASSERT_TRUE(q2.ok()) << q2.error();
+  EXPECT_NE(Classify(PollQ2()).cls, CertaintyClass::kFO);
+  EXPECT_EQ((*q2)->classification.cls, CertaintyClass::kFO);
+  EXPECT_EQ((*q2)->engine, SolverMethod::kAlgorithm1);
+
+  Rng rng(20'261'020);
+  RandomDbOptions dopts;
+  dopts.blocks_per_relation = 3;
+  dopts.domain_size = 3;
+  for (int trial = 0; trial < 300; ++trial) {
+    RandomStream s = DrawStream(&rng);
+    check(s.q, s.frees, GenerateRandomDatabaseFor(s.q, dopts, &rng));
+  }
+}
+
+TEST(AnswerPlanTest, PlanForAnotherEpochIsRefusedTyped) {
+  Query q = Q("P(x | y), not N(x | y)");
+  Database before = Db("P(k1 | a), P(k2 | a)");
+  Database after = Db("P(k1 | a), P(k2 | a)\nN(k1 | a)");
+  Result<std::shared_ptr<const AnswerPlan>> plan =
+      MakeAnswerPlan(q, {InternSymbol("x")}, before, SolverMethod::kAuto);
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  Result<AnswerChunk> chunk = EnumerateAnswerChunk(**plan, after, 0, 64);
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_EQ(chunk.code(), ErrorCode::kStaleCursor);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-shot local CI: tier-1 build + full test suite, then the sanitizer
-# presets (ASan+UBSan on the governor suites, TSan on everything labelled
+# presets (ASan+UBSan on every suite, TSan on everything labelled
 # `concurrency` — the serve, daemon and governor threading tests), then a
 # live end-to-end smoke of the network daemon: start it, run solves through
 # the CLI client, SIGTERM it, and assert a clean drain and exit code. A
@@ -48,7 +48,9 @@
 # answer list, a client killed mid-stream that resumes from its persisted
 # cursor with no holes and no duplicates, and an apply_delta epoch flip
 # after which the old cursor is refused with a typed stale-cursor error
-# while a fresh stream serves the post-delta answers.
+# while a fresh stream serves the post-delta answers. A second stream runs
+# a q2-shaped query — cyclic as a Boolean query, FO once its free variable
+# is fixed — over data whose answer count is known by construction.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -650,7 +652,8 @@ parallel_smoke() {
 # the wire), a client hung up mid-stream must resume from its persisted
 # cursor with no holes and no duplicates, and an apply_delta epoch flip
 # must refuse the stale cursor with a typed error while a fresh stream
-# serves the post-delta answers.
+# serves the post-delta answers. A q2-shaped stream (L-hard as a Boolean
+# query, FO with its free variable fixed) must match its one-shot list too.
 answers_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "answers smoke needs a tier-1 build ($cli)"; exit 2; }
@@ -746,7 +749,41 @@ answers_smoke() {
   local rc=0
   wait "$daemon_pid" || rc=$?
   [ "$rc" -eq 0 ] || { echo "daemon exited $rc"; cat "$work/daemon.log"; exit 1; }
-  echo "==== [answers] OK (chunk tiling, cursor resume, typed staleness)"
+
+  echo "==== [answers] q2-shaped stream: cyclic Boolean query, FO with p fixed"
+  # Person i likes town t_i and lives in h_i. Every 3rd person may also
+  # live in t_i and every 5th is t_i's mayor; either refutes p = i. The
+  # other 16 of the 30 persons are certain answers.
+  local p t m
+  : > "$work/poll"
+  for i in $(seq 0 29); do
+    p=$(printf 'p%02d' "$i")
+    t=$(printf 't%02d' "$i")
+    printf 'Likes(%s, %s)\nLives(%s | h%02d)\n' "$p" "$t" "$p" "$i" \
+        >> "$work/poll"
+    [ $((i % 3)) -eq 0 ] && printf 'Lives(%s | %s)\n' "$p" "$t" >> "$work/poll"
+    m=$(printf 'm%02d' "$i")
+    [ $((i % 5)) -eq 0 ] && m="$p"
+    printf 'Mayor(%s | %s)\n' "$t" "$m" >> "$work/poll"
+  done
+  local q2='Likes(p, t), not Lives(p | t), not Mayor(t | p)'
+  "$cli" classify "$q2" | grep -q 'not in FO'
+  "$cli" answers "$q2" "$work/poll" --free=p \
+      > "$work/q2.oneshot" 2>/dev/null
+  [ "$(wc -l < "$work/q2.oneshot")" -eq 16 ] \
+      || { echo "expected 16 certain q2 answers"; exit 1; }
+  start_daemon "$work/q2.log" "$work/poll" --listen=127.0.0.1:0 --workers=2
+  local q2_addr; q2_addr=$(cat "$work/q2.log.addr")
+  local q2_pid; q2_pid=$(cat "$work/q2.log.pid")
+  "$cli" client "$q2_addr" --answers="$q2" --free=p --max-chunk=7 \
+      > "$work/q2.stream" 2> "$work/q2.err"
+  cmp "$work/q2.oneshot" "$work/q2.stream"
+  grep -q -- '-- 16 answers in 3 chunks' "$work/q2.err"
+  kill -TERM "$q2_pid"
+  rc=0
+  wait "$q2_pid" || rc=$?
+  [ "$rc" -eq 0 ] || { echo "q2 daemon exited $rc"; cat "$work/q2.log"; exit 1; }
+  echo "==== [answers] OK (chunk tiling, cursor resume, typed staleness, q2)"
 }
 
 for stage in "${stages[@]}"; do

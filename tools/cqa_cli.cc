@@ -436,14 +436,17 @@ int CmdAnswers(const Query& q, const Database& db, const std::string& free,
     return 0;
   }
   // Chunked path: drive the resumable enumerator max_chunk answers at a
-  // time, exactly as the daemon's answers streams do. The concatenation of
-  // the chunks is the one-shot output above, byte for byte.
-  EnumerateOptions opts;
-  opts.max_chunk = max_chunk;
+  // time on one plan, exactly as the daemon's answers streams do. The
+  // concatenation of the chunks is the one-shot output above, byte for
+  // byte.
+  Result<std::shared_ptr<const AnswerPlan>> plan =
+      MakeAnswerPlan(q, vars, db, SolverMethod::kAuto);
+  if (!plan.ok()) return Fail(plan);
+  uint64_t start = 0;
   uint64_t printed = 0, chunks = 0, candidates = 0;
   for (;;) {
     Result<AnswerChunk> chunk =
-        EnumerateAnswerChunk(q, vars, db, opts, budget);
+        EnumerateAnswerChunk(**plan, db, start, max_chunk, budget);
     if (!chunk.ok()) return Fail(chunk);
     for (const Tuple& t : chunk->answers) {
       std::printf("%s\n", TupleToString(t).c_str());
@@ -461,7 +464,7 @@ int CmdAnswers(const Query& q, const Database& db, const std::string& free,
       return 3;
     }
     if (chunk->done) break;
-    opts.start = chunk->next;
+    start = chunk->next;
   }
   std::fprintf(stderr,
                "-- %llu certain answers out of %llu candidates in %llu "
