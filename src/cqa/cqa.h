@@ -47,7 +47,6 @@
 #include "cqa/fo/eval.h"
 #include "cqa/fo/fo_parser.h"
 #include "cqa/fo/formula.h"
-#include "cqa/fo/normal_form.h"
 #include "cqa/fo/simplify.h"
 #include "cqa/fo/sql.h"
 #include "cqa/gen/families.h"

@@ -107,38 +107,31 @@ void Connection::Abort(CloseReason reason) {
 }
 
 void Connection::CancelOutstanding() {
-  std::vector<InflightSolve> solves;
+  // A job in flight (a solve, or a stream's chunk) is cancelled at the
+  // service; its terminal flushes if the writer survives. An idle stream is
+  // simply dropped — the socket is gone, no terminal could be delivered,
+  // and nothing of it is queued or running anywhere.
+  std::vector<std::pair<std::string, uint64_t>> jobs;
   {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    solves.reserve(inflight_.size());
-    for (const auto& [client_id, solve] : inflight_) solves.push_back(solve);
-  }
-  for (const InflightSolve& solve : solves) {
-    service_->Cancel(solve.db, solve.service_id);
-  }
-  // Answer streams: a chunk in flight is cancelled at the service (its
-  // terminal flushes if the writer survives); an idle stream is simply
-  // dropped — the socket is gone, no terminal could be delivered, and
-  // nothing of it is queued or running anywhere.
-  std::vector<InflightSolve> chunk_jobs;
-  {
-    std::lock_guard<std::mutex> lock(streams_mu_);
-    for (auto it = streams_.begin(); it != streams_.end();) {
-      it->second.cancelled = true;
-      if (it->second.service_id != 0 || it->second.in_submit) {
-        if (it->second.service_id != 0) {
-          chunk_jobs.push_back({it->second.db, it->second.service_id});
-        }
-        ++it;
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    for (auto it = requests_.begin(); it != requests_.end();) {
+      Outstanding& r = it->second;
+      if (r.service_id != 0) jobs.emplace_back(r.db, r.service_id);
+      if (r.stream && CancelStream(r)) {
+        it = requests_.erase(it);
       } else {
-        if (it->second.parked) parked_streams_.fetch_sub(1);
-        it = streams_.erase(it);
+        ++it;
       }
     }
   }
-  for (const InflightSolve& job : chunk_jobs) {
-    service_->Cancel(job.db, job.service_id);
-  }
+  for (const auto& [db, service_id] : jobs) service_->Cancel(db, service_id);
+}
+
+bool Connection::CancelStream(Outstanding& entry) {
+  entry.stream->cancelled = true;
+  if (entry.service_id != 0 || entry.stream->in_submit) return false;
+  if (entry.stream->parked) parked_streams_.fetch_sub(1);
+  return true;
 }
 
 void Connection::ReaderLoop() {
@@ -179,7 +172,7 @@ void Connection::ReaderLoop() {
       break;
     }
     if (*r == 0) {
-      // Orderly client disconnect; outstanding solves are cancelled below.
+      // Orderly client disconnect; outstanding requests are cancelled below.
       Abort(CloseReason::kClientEof);
       break;
     }
@@ -212,8 +205,8 @@ void Connection::ReaderLoop() {
   }
   // Whatever ended the read loop — disconnect, deadline, garbage limit,
   // drain — this connection can never receive a cancel or produce new work,
-  // so every solve still in flight is cancelled. Their terminal "cancelled"
-  // frames are flushed if the write side is still alive.
+  // so every solve and stream still in flight is cancelled. Their terminal
+  // "cancelled" frames are flushed if the write side is still alive.
   CancelOutstanding();
   // Unsubscribe the replication stream, if one was opened: after this no
   // event can enqueue, so the connection is safe to reap.
@@ -255,50 +248,35 @@ void Connection::HandleFrame(const std::string& frame) {
                                          service_->StatsPerDb()));
       return;
     case WireRequestType::kCancel: {
-      InflightSolve solve;
-      bool found = false;
+      // A job in flight is cancelled at the service (a solve's terminal, or
+      // a stream chunk's, arrives as cancelled). A stream is marked
+      // cancelled; an idle one (parked, or between chunks with no submit
+      // loop running) terminates right here — no callback is coming for it.
+      std::string db;
+      uint64_t service_id = 0;
+      bool is_stream = false;
+      bool terminate_now = false;
       {
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        auto it = inflight_.find(decoded->target);
-        if (it != inflight_.end()) {
-          found = true;
-          solve = it->second;
-        }
-      }
-      if (found) found = service_->Cancel(solve.db, solve.service_id);
-      if (!found) {
-        // Not a plain solve: maybe an answer stream. Mark it cancelled; a
-        // chunk in flight is cancelled at the service (its terminal
-        // arrives as cancelled), an idle stream (parked, or between
-        // chunks with no submit loop running) terminates right here —
-        // no callback is ever coming for it.
-        std::string db;
-        uint64_t service_id = 0;
-        bool terminate_now = false;
-        {
-          std::lock_guard<std::mutex> lock(streams_mu_);
-          auto it = streams_.find(decoded->target);
-          if (it != streams_.end()) {
-            found = true;
-            it->second.cancelled = true;
-            if (it->second.service_id != 0) {
-              db = it->second.db;
-              service_id = it->second.service_id;
-            } else if (!it->second.in_submit) {
-              if (it->second.parked) parked_streams_.fetch_sub(1);
-              streams_.erase(it);
-              terminate_now = true;
-            }
+        std::lock_guard<std::mutex> lock(requests_mu_);
+        auto it = requests_.find(decoded->target);
+        if (it != requests_.end()) {
+          Outstanding& r = it->second;
+          db = r.db;
+          service_id = r.service_id;
+          if (r.stream) {
+            is_stream = true;
+            terminate_now = CancelStream(r);
+            if (terminate_now) requests_.erase(it);
           }
         }
-        if (service_id != 0) service_->Cancel(db, service_id);
-        if (terminate_now) {
-          EnqueueFromReader(EncodeCancelledFrame(
-              decoded->target, "cancelled between answer chunks"));
-        }
       }
-      EnqueueFromReader(
-          EncodeCancelAckFrame(decoded->id, decoded->target, found));
+      bool found = service_id != 0 && service_->Cancel(db, service_id);
+      if (terminate_now) {
+        EnqueueFromReader(EncodeCancelledFrame(
+            decoded->target, "cancelled between answer chunks"));
+      }
+      EnqueueFromReader(EncodeCancelAckFrame(decoded->id, decoded->target,
+                                             found || is_stream));
       return;
     }
     case WireRequestType::kSolve:
@@ -593,38 +571,38 @@ void Connection::HandleList(const WireRequest& request) {
   EnqueueFromReader(EncodeDbListFrame(request.id, entries));
 }
 
-void Connection::HandleSolve(WireRequest request) {
+std::optional<ServeJob> Connection::AdmitJob(const WireRequest& request) {
   const uint64_t id = request.id;
   if (draining_.load()) {
     stats_->Add(&DaemonStats::solves_rejected_overloaded);
     EnqueueFromReader(EncodeErrorFrame(
         id, ErrorCode::kOverloaded, "daemon is draining; not accepting work"));
-    return;
+    return std::nullopt;
   }
   enum class Reject { kNone, kDuplicate, kInflightCap };
-  Reject reject;
+  Reject reject = Reject::kNone;
   {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (inflight_.count(id) > 0) {
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    if (requests_.count(id) > 0) {
       reject = Reject::kDuplicate;
-    } else if (inflight_.size() >= options_.max_inflight) {
+    } else if (requests_.size() >= options_.max_inflight) {
       reject = Reject::kInflightCap;
     } else {
-      reject = Reject::kNone;
       // Pre-insert before Submit so the terminal callback — which can fire
       // on a worker thread before Submit even returns — always finds the
-      // entry to erase. The placeholder shard/service id is fixed up
-      // below; only this reader thread reads the map until then.
-      inflight_.emplace(id, InflightSolve{});
+      // entry to erase. Only this reader thread inserts, so the check
+      // above cannot race another admission.
+      requests_.emplace(id, Outstanding{});
     }
   }
   if (reject == Reject::kDuplicate) {
-    // Reusing an in-flight id would make "exactly one terminal frame per
-    // id" ambiguous; reject the new frame, keep the old request.
+    // Reusing an in-flight id — a solve's or a stream's — would make
+    // "exactly one terminal frame per id" ambiguous; reject the new
+    // frame, keep the old request.
     EnqueueFromReader(EncodeErrorFrame(
         id, ErrorCode::kParse,
-        "duplicate id: a solve with this id is already in flight"));
-    return;
+        "duplicate id: a request with this id is already in flight"));
+    return std::nullopt;
   }
   if (reject == Reject::kInflightCap) {
     stats_->Add(&DaemonStats::solves_rejected_inflight_cap);
@@ -633,7 +611,7 @@ void Connection::HandleSolve(WireRequest request) {
                          "per-connection in-flight cap (" +
                              std::to_string(options_.max_inflight) +
                              ") reached"));
-    return;
+    return std::nullopt;
   }
 
   Result<Query> query = ParseQuery(request.query);
@@ -641,49 +619,55 @@ void Connection::HandleSolve(WireRequest request) {
     // A well-formed frame carrying an unparsable query is a request-level
     // failure: it gets its terminal error frame and does not count toward
     // the consecutive-garbage limit.
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      inflight_.erase(id);
-    }
+    Forget(id);
     EnqueueFromReader(EncodeErrorFrame(id, query.code(), query.error()));
-    return;
+    return std::nullopt;
   }
-
   // The shard's database is filled in by the sharded service when the
   // frame's "db" name (empty ⇒ default instance) resolves.
-  ServeJob job(std::move(*query), nullptr);
+  std::optional<ServeJob> job(std::in_place, std::move(*query), nullptr);
   if (request.timeout_ms) {
-    job.timeout = std::chrono::milliseconds(*request.timeout_ms);
+    job->timeout = std::chrono::milliseconds(*request.timeout_ms);
   }
-  job.deadline_from_submit = request.deadline_from_submit;
-  job.max_steps = request.max_steps;
-  job.method = request.method;
-  job.degrade_to_sampling = request.degrade_to_sampling;
-  job.max_samples = request.max_samples;
-  job.isolation = request.isolation;
-  job.parallelism = static_cast<int>(
+  job->deadline_from_submit = request.deadline_from_submit;
+  job->max_steps = request.max_steps;
+  job->method = request.method;
+  job->chaos_sleep = std::chrono::milliseconds(request.chaos_sleep_ms);
+  job->cache =
+      request.cache_bypass ? CachePolicy::kBypass : CachePolicy::kDefault;
+  return job;
+}
+
+void Connection::Forget(uint64_t client_id) {
+  std::lock_guard<std::mutex> lock(requests_mu_);
+  requests_.erase(client_id);
+}
+
+void Connection::HandleSolve(WireRequest request) {
+  const uint64_t id = request.id;
+  std::optional<ServeJob> job = AdmitJob(request);
+  if (!job) return;
+  job->degrade_to_sampling = request.degrade_to_sampling;
+  job->max_samples = request.max_samples;
+  job->isolation = request.isolation;
+  job->parallelism = static_cast<int>(
       std::min<uint64_t>(request.parallelism, 64));
-  job.chaos_sleep = std::chrono::milliseconds(request.chaos_sleep_ms);
-  job.fail_after_probes = request.fail_after_probes;
-  job.fault_attempts = request.fault_attempts;
-  job.crash_after_probes = request.crash_after_probes;
-  job.hog_mb_per_probe = request.hog_mb_per_probe;
-  job.wedge_after_probes = request.wedge_after_probes;
-  job.cache = request.cache_bypass ? CachePolicy::kBypass : CachePolicy::kDefault;
+  job->fail_after_probes = request.fail_after_probes;
+  job->fault_attempts = request.fault_attempts;
+  job->crash_after_probes = request.crash_after_probes;
+  job->hog_mb_per_probe = request.hog_mb_per_probe;
+  job->wedge_after_probes = request.wedge_after_probes;
 
   auto self = shared_from_this();
   std::string resolved_db;
   Result<uint64_t> submitted = service_->Submit(
-      request.db, std::move(job),
+      request.db, std::move(*job),
       [self, id](const ServeResponse& response) {
         self->SolveCallback(id, response);
       },
       &resolved_db);
   if (!submitted.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      inflight_.erase(id);
-    }
+    Forget(id);
     if (submitted.code() == ErrorCode::kDetached) {
       stats_->Add(&DaemonStats::solves_rejected_detached);
     } else {
@@ -693,24 +677,19 @@ void Connection::HandleSolve(WireRequest request) {
     return;
   }
   stats_->Add(&DaemonStats::solves_admitted);
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(id);
-    // Absent means the terminal callback already fired and erased the
-    // pre-inserted entry; do not resurrect it.
-    if (it != inflight_.end()) {
-      it->second.db = resolved_db;
-      it->second.service_id = *submitted;
-    }
+  std::lock_guard<std::mutex> lock(requests_mu_);
+  auto it = requests_.find(id);
+  // Absent means the terminal callback already fired and erased the
+  // pre-inserted entry; do not resurrect it.
+  if (it != requests_.end()) {
+    it->second.db = std::move(resolved_db);
+    it->second.service_id = *submitted;
   }
 }
 
 void Connection::SolveCallback(uint64_t client_id,
                                const ServeResponse& response) {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_.erase(client_id);
-  }
+  Forget(client_id);
   std::string frame;
   if (response.state == RequestState::kCancelled) {
     frame = EncodeCancelledFrame(
@@ -728,75 +707,24 @@ void Connection::SolveCallback(uint64_t client_id,
 
 void Connection::HandleAnswers(WireRequest request) {
   const uint64_t id = request.id;
-  if (draining_.load()) {
-    stats_->Add(&DaemonStats::solves_rejected_overloaded);
-    EnqueueFromReader(EncodeErrorFrame(
-        id, ErrorCode::kOverloaded, "daemon is draining; not accepting work"));
-    return;
-  }
-  Result<Query> query = ParseQuery(request.query);
-  if (!query.ok()) {
-    EnqueueFromReader(EncodeErrorFrame(id, query.code(), query.error()));
-    return;
-  }
-  // Admission: one client id addresses one request — solve or stream —
-  // and streams share the per-connection in-flight cap with solves (a
-  // stream occupies a slot for its whole life, chunk in flight or not).
-  // Only this reader thread inserts into either map, so the two-map check
-  // cannot race another admission.
-  enum class Reject { kNone, kDuplicate, kInflightCap };
-  Reject reject = Reject::kNone;
-  const bool resumed = !request.cursor.empty();
-  size_t solves_inflight;
+  std::optional<ServeJob> job = AdmitJob(request);
+  if (!job) return;
+  job->kind = JobKind::kAnswers;
+  job->free_vars = std::move(request.free_vars);
+  job->answer_max_chunk =
+      request.max_chunk == 0 ? 64 : std::min<uint64_t>(request.max_chunk, 8192);
+  job->cursor = request.cursor;
+  job->isolation = IsolationMode::kInproc;
+  job->parallelism = 1;
   {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    solves_inflight = inflight_.size();
-    if (inflight_.count(id) > 0) reject = Reject::kDuplicate;
-  }
-  if (reject == Reject::kNone) {
-    std::lock_guard<std::mutex> lock(streams_mu_);
-    if (streams_.count(id) > 0) {
-      reject = Reject::kDuplicate;
-    } else if (solves_inflight + streams_.size() >= options_.max_inflight) {
-      reject = Reject::kInflightCap;
-    } else {
-      AnswerStream stream;
-      stream.db = request.db;
-      stream.query = std::move(*query);
-      stream.free_vars = std::move(request.free_vars);
-      stream.max_chunk = request.max_chunk == 0
-                             ? 64
-                             : std::min<uint64_t>(request.max_chunk, 8192);
-      stream.method = request.method;
-      if (request.timeout_ms) {
-        stream.timeout = std::chrono::milliseconds(*request.timeout_ms);
-      }
-      stream.max_steps = request.max_steps;
-      stream.deadline_from_submit = request.deadline_from_submit;
-      stream.cache_bypass = request.cache_bypass;
-      stream.chaos_sleep = std::chrono::milliseconds(request.chaos_sleep_ms);
-      stream.cursor = std::move(request.cursor);
-      stream.started = std::chrono::steady_clock::now();
-      streams_.emplace(id, std::move(stream));
-    }
-  }
-  if (reject == Reject::kDuplicate) {
-    EnqueueFromReader(EncodeErrorFrame(
-        id, ErrorCode::kParse,
-        "duplicate id: a request with this id is already in flight"));
-    return;
-  }
-  if (reject == Reject::kInflightCap) {
-    stats_->Add(&DaemonStats::solves_rejected_inflight_cap);
-    EnqueueFromReader(
-        EncodeErrorFrame(id, ErrorCode::kOverloaded,
-                         "per-connection in-flight cap (" +
-                             std::to_string(options_.max_inflight) +
-                             ") reached"));
-    return;
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    // Still present: nothing but this reader thread touches a fresh entry.
+    Outstanding& entry = requests_.at(id);
+    entry.db = request.db;
+    entry.stream.emplace(std::move(*job));
   }
   stats_->Add({{&DaemonStats::answers_streams, 1},
-               {&DaemonStats::answers_resumed, resumed}});
+               {&DaemonStats::answers_resumed, !request.cursor.empty()}});
   SubmitAnswerChunk(id);
 }
 
@@ -808,35 +736,21 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
     bool cancelled_idle = false;
     bool drained = false;
     {
-      std::lock_guard<std::mutex> lock(streams_mu_);
-      auto it = streams_.find(client_id);
-      if (it == streams_.end()) return;
-      AnswerStream& s = it->second;
+      std::lock_guard<std::mutex> lock(requests_mu_);
+      auto it = requests_.find(client_id);
+      if (it == requests_.end() || !it->second.stream) return;
+      AnswerStream& s = *it->second.stream;
       if (s.in_submit) return;  // another thread owns the trampoline
       if (s.cancelled || draining_.load()) {
         cancelled_idle = s.cancelled;
         drained = !s.cancelled;
         if (s.parked) parked_streams_.fetch_sub(1);
-        streams_.erase(it);
+        requests_.erase(it);
       } else {
         s.in_submit = true;
         s.has_pending = false;
-        db_name = s.db;
-        job.emplace(*s.query, nullptr);
-        job->kind = JobKind::kAnswers;
-        job->free_vars = s.free_vars;
-        job->answer_max_chunk = s.max_chunk;
-        job->cursor = s.cursor;
-        job->answer_plan = s.plan;
-        job->method = s.method;
-        job->timeout = s.timeout;
-        job->max_steps = s.max_steps;
-        job->deadline_from_submit = s.deadline_from_submit;
-        job->chaos_sleep = s.chaos_sleep;
-        job->isolation = IsolationMode::kInproc;
-        job->parallelism = 1;
-        job->cache =
-            s.cache_bypass ? CachePolicy::kBypass : CachePolicy::kDefault;
+        db_name = it->second.db;
+        job = s.job;
       }
     }
     if (cancelled_idle) {
@@ -865,11 +779,7 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
       if (submitted.code() == ErrorCode::kStaleCursor) {
         stats_->Add(&DaemonStats::answers_stale_cursors);
       }
-      {
-        std::lock_guard<std::mutex> lock(streams_mu_);
-        auto it = streams_.find(client_id);
-        if (it != streams_.end()) streams_.erase(it);
-      }
+      Forget(client_id);
       EnqueueFromWorker(
           EncodeErrorFrame(client_id, submitted.code(), submitted.error()));
       return;
@@ -878,11 +788,12 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
     ServeResponse pending;
     bool process_inline = false;
     {
-      std::lock_guard<std::mutex> lock(streams_mu_);
-      auto it = streams_.find(client_id);
-      if (it == streams_.end()) return;  // unreachable: in_submit pins it
-      AnswerStream& s = it->second;
-      s.db = resolved_db;
+      std::lock_guard<std::mutex> lock(requests_mu_);
+      auto it = requests_.find(client_id);
+      if (it == requests_.end()) return;  // unreachable: in_submit pins it
+      Outstanding& entry = it->second;
+      AnswerStream& s = *entry.stream;
+      entry.db = resolved_db;
       s.in_submit = false;
       if (s.has_pending) {
         // The chunk completed synchronously (warm cache) inside Submit;
@@ -891,7 +802,7 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
         s.has_pending = false;
         process_inline = true;
       } else {
-        s.service_id = *submitted;
+        entry.service_id = *submitted;
         cancel_race = s.cancelled;
       }
     }
@@ -908,15 +819,16 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
 void Connection::AnswersCallback(uint64_t client_id,
                                  const ServeResponse& response) {
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
-    auto it = streams_.find(client_id);
-    if (it == streams_.end()) return;
-    if (it->second.in_submit) {
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    auto it = requests_.find(client_id);
+    if (it == requests_.end() || !it->second.stream) return;
+    AnswerStream& s = *it->second.stream;
+    if (s.in_submit) {
       // Synchronous delivery inside service_->Submit: stash for the
       // SubmitAnswerChunk loop (recursing here would stack one frame per
       // warm chunk).
-      it->second.pending = response;
-      it->second.has_pending = true;
+      s.pending = response;
+      s.has_pending = true;
       return;
     }
   }
@@ -930,33 +842,33 @@ bool Connection::ProcessAnswerResponse(uint64_t client_id,
   std::vector<std::string> frames;
   bool submit_next = false;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
-    auto it = streams_.find(client_id);
-    if (it == streams_.end()) return false;
-    AnswerStream& s = it->second;
-    s.service_id = 0;
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    auto it = requests_.find(client_id);
+    if (it == requests_.end() || !it->second.stream) return false;
+    it->second.service_id = 0;
+    AnswerStream& s = *it->second.stream;
     if (response.state == RequestState::kCancelled) {
       frames.push_back(EncodeCancelledFrame(
           client_id,
           response.result.ok() ? "cancelled" : response.result.error()));
-      streams_.erase(it);
+      requests_.erase(it);
     } else if (!response.result.ok()) {
       if (response.result.code() == ErrorCode::kStaleCursor) {
         stats_->Add(&DaemonStats::answers_stale_cursors);
       }
       frames.push_back(EncodeErrorFrame(client_id, response.result.code(),
                                         response.result.error()));
-      streams_.erase(it);
+      requests_.erase(it);
     } else if (s.cancelled) {
       // The chunk won a race against a cancel; honor the cancel (the
       // stream's terminal must be "cancelled", and the client asked to
       // stop reading anyway).
       frames.push_back(EncodeCancelledFrame(client_id, "cancelled"));
-      streams_.erase(it);
+      requests_.erase(it);
     } else if (response.result->answer_chunk == nullptr) {
       frames.push_back(EncodeErrorFrame(client_id, ErrorCode::kInternal,
                                         "answers job returned no chunk"));
-      streams_.erase(it);
+      requests_.erase(it);
     } else {
       const AnswerChunk& chunk = *response.result->answer_chunk;
       frames.push_back(
@@ -971,15 +883,15 @@ bool Connection::ProcessAnswerResponse(uint64_t client_id,
         frames.push_back(EncodeAnswerDoneFrame(client_id, s.answers,
                                                chunk.total, s.chunks,
                                                latency));
-        streams_.erase(it);
+        requests_.erase(it);
       } else if (response.answer_cursor.empty()) {
         frames.push_back(
             EncodeErrorFrame(client_id, ErrorCode::kInternal,
                              "unfinished chunk carried no resume cursor"));
-        streams_.erase(it);
+        requests_.erase(it);
       } else {
-        s.cursor = response.answer_cursor;
-        s.plan = response.answer_plan;
+        s.job.cursor = response.answer_cursor;
+        s.job.answer_plan = response.answer_plan;
         // Write-deadline backpressure, stream-shaped: past the outbound
         // soft cap the stream parks — nothing queued, nothing running,
         // no worker pinned — until the writer drains below the cap. A
@@ -1007,10 +919,10 @@ void Connection::ResumeParkedStreams() {
   if (parked_streams_.load() == 0) return;
   std::vector<uint64_t> resume;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
-    for (auto& [id, s] : streams_) {
-      if (s.parked && !s.in_submit) {
-        s.parked = false;
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    for (auto& [id, entry] : requests_) {
+      if (entry.stream && entry.stream->parked && !entry.stream->in_submit) {
+        entry.stream->parked = false;
         parked_streams_.fetch_sub(1);
         resume.push_back(id);
       }

@@ -34,8 +34,9 @@ struct ConnectionOptions {
   /// Consecutive undecodable frames tolerated before the connection is
   /// closed as hostile. A single garbage frame only fails that frame.
   int max_consecutive_garbage = 3;
-  /// Cap on solve requests in flight per connection; beyond it new solves
-  /// are answered with a typed `overloaded` error frame.
+  /// Cap on requests in flight per connection, solves and answer streams
+  /// together; beyond it new ones are answered with a typed `overloaded`
+  /// error frame.
   size_t max_inflight = 16;
   /// Connection with no traffic at all for this long is closed.
   std::chrono::milliseconds idle_timeout{300'000};
@@ -136,9 +137,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void WriterLoop();
   void AdminLoop();
   void HandleFrame(const std::string& frame);
+  /// Admission shared by solves and answer streams: drain check,
+  /// duplicate-id check, in-flight cap and the table pre-insert, then the
+  /// query parse and the job fields both kinds honour. On refusal the
+  /// terminal error frame is enqueued and nothing is returned.
+  std::optional<ServeJob> AdmitJob(const WireRequest& request);
+  /// Drops a request's table entry (refused or finished).
+  void Forget(uint64_t client_id);
   void HandleSolve(WireRequest request);
-  /// Opens an answer stream: admission checks, query parse, stream-state
-  /// insert, then the first chunk submission.
+  /// Opens an answer stream: admission, then the first chunk submission.
   void HandleAnswers(WireRequest request);
   /// Submits the stream's next chunk job to the service, looping on
   /// synchronous (warm-cache) completions instead of recursing: a chain of
@@ -217,44 +224,20 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool out_closed_ = false;     // socket dead: drop further frames
   bool out_finishing_ = false;  // flush what is queued, then exit
 
-  // Where an admitted, unterminated solve lives: request ids are per
-  // shard, so a solve is addressed by (resolved registry name, service
-  // id) — both fixed up after Submit returns (the placeholder {., 0} can
-  // never cancel anything: shard ids start at 1).
-  struct InflightSolve {
-    std::string db;
-    uint64_t service_id = 0;
-  };
-  std::mutex inflight_mu_;
-  std::unordered_map<uint64_t, InflightSolve> inflight_;
-
-  // One live answer stream per client id. A stream is a chain of per-chunk
+  // Progress of an answer stream. A stream is a chain of per-chunk
   // service jobs: between chunks nothing is queued or running anywhere —
   // a slow consumer parks the stream (parked=true) and pins only this
-  // struct, never a worker. Streams count against `max_inflight` together
-  // with plain solves.
+  // struct, never a worker.
   struct AnswerStream {
-    std::string db;  // resolved registry name (fixed after first submit)
-    std::optional<Query> query;  // always set; optional for default-construction
-    std::vector<std::string> free_vars;
-    uint64_t max_chunk = 64;
-    SolverMethod method = SolverMethod::kAuto;
-    std::optional<std::chrono::milliseconds> timeout;
-    uint64_t max_steps = UINT64_MAX;
-    bool deadline_from_submit = false;
-    bool cache_bypass = false;
-    /// Chaos injection (tests): forwarded into every chunk job.
-    std::chrono::milliseconds chaos_sleep{0};
-    /// Cursor for the next chunk (empty = start of the stream).
-    std::string cursor;
-    /// The stream's plan, from its last chunk's response; sent down with
-    /// the next chunk job (null until the first chunk has run).
-    std::shared_ptr<const AnswerPlan> plan;
-    /// Service id of the chunk job in flight (0 between chunks).
-    uint64_t service_id = 0;
+    explicit AnswerStream(ServeJob chunk_job) : job(std::move(chunk_job)) {}
+    /// Template of every chunk job: each chunk submits a copy. Its
+    /// `cursor` and `answer_plan` advance with the stream (empty cursor =
+    /// start; the plan comes from the last chunk's response).
+    ServeJob job;
     uint64_t answers = 0;  // tuples delivered so far
     uint64_t chunks = 0;   // chunk frames delivered so far
-    std::chrono::steady_clock::time_point started;
+    std::chrono::steady_clock::time_point started =
+        std::chrono::steady_clock::now();
     /// Trampoline state: `in_submit` marks a SubmitAnswerChunk loop in
     /// progress on some thread; a synchronous callback stashes its
     /// response in `pending` instead of recursing.
@@ -266,8 +249,24 @@ class Connection : public std::enable_shared_from_this<Connection> {
     /// Cancel observed; the stream terminates at the next safe point.
     bool cancelled = false;
   };
-  std::mutex streams_mu_;
-  std::unordered_map<uint64_t, AnswerStream> streams_;
+  // One admitted, unterminated client request — a solve or an answer
+  // stream — per client id: the two kinds share one id space and the
+  // `max_inflight` cap (a stream holds its slot for its whole life). Job
+  // ids are per shard, so a job is addressed by (resolved registry name,
+  // service id); both are fixed up after Submit returns (service id 0 —
+  // a fresh entry, or a stream between chunks — cancels nothing: shard
+  // ids start at 1).
+  struct Outstanding {
+    std::string db;
+    uint64_t service_id = 0;
+    std::optional<AnswerStream> stream;  // set iff an answer stream
+  };
+  std::mutex requests_mu_;
+  std::unordered_map<uint64_t, Outstanding> requests_;
+  /// Marks a stream entry cancelled under `requests_mu_`. True iff the
+  /// stream is idle (no chunk in flight, no submit loop running), so the
+  /// caller must drop the entry now: no callback is coming for it.
+  bool CancelStream(Outstanding& entry);
   /// Cheap writer-side check: > 0 iff some stream is parked.
   std::atomic<size_t> parked_streams_{0};
 

@@ -22,12 +22,14 @@ const char* ToString(RequestState state) {
 
 SolveService::SolveService(ServiceOptions options)
     : options_(std::move(options)),
+      // Earliest-deadline-first: workers pop the queued request whose
+      // effective deadline — min(service deadline, submit time + timeout)
+      // — is nearest, ties broken FIFO; requests with no deadline sort
+      // last. With homogeneous deadlines this is exact FIFO.
       queue_(std::max<size_t>(options_.queue_capacity, 1),
-             options_.discipline == QueueDiscipline::kEdf
-                 ? [](const RequestPtr& a, const RequestPtr& b) {
-                     return a->deadline_key < b->deadline_key;
-                   }
-                 : BoundedQueue<RequestPtr>::BeforeFn(nullptr)) {
+             [](const RequestPtr& a, const RequestPtr& b) {
+               return a->deadline_key < b->deadline_key;
+             }) {
   if (options_.cache_entries > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache_entries);
   }

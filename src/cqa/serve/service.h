@@ -72,8 +72,8 @@ struct ServeJob {
   /// When true, the deadline is anchored at submit time — queue wait,
   /// backoff, and earlier attempts all consume the same absolute budget
   /// `submitted + timeout` — instead of re-arming `now + timeout` per
-  /// attempt. This is the semantics under which earliest-deadline-first
-  /// queueing (ServiceOptions::discipline) actually reduces timeout rates.
+  /// attempt. This is the semantics under which the service's
+  /// earliest-deadline-first queue actually reduces timeout rates.
   bool deadline_from_submit = false;
   /// Per-attempt step (search-node) budget.
   uint64_t max_steps = Budget::kNoStepLimit;
@@ -178,27 +178,12 @@ struct ServeResponse {
   std::shared_ptr<const AnswerPlan> answer_plan;
 };
 
-/// Consumption order of the bounded work queue.
-enum class QueueDiscipline {
-  /// First in, first out.
-  kFifo,
-  /// Earliest-deadline-first: workers pop the queued request whose
-  /// effective deadline — min(service deadline, submit time + timeout) —
-  /// is nearest, ties broken FIFO. Requests with no deadline sort last.
-  /// Under mixed timeouts this serves urgent requests before they expire
-  /// in the queue, cutting timeout rates versus FIFO (see serve_test).
-  kEdf,
-};
-
 struct ServiceOptions {
   /// Worker threads; clamped to at least 1.
   int workers = 4;
   /// Bounded queue capacity; a full queue sheds new submissions with
   /// `kOverloaded`. Clamped to at least 1.
   size_t queue_capacity = 64;
-  /// Queue consumption order. EDF is the default: with homogeneous
-  /// deadlines it degrades to exact FIFO behaviour.
-  QueueDiscipline discipline = QueueDiscipline::kEdf;
   /// Default per-attempt timeout for jobs that do not set their own; zero
   /// means none.
   std::chrono::milliseconds default_timeout{0};

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -406,6 +407,24 @@ std::string AnswersFrame(uint64_t id, const std::string& query,
   return b.Build().Serialize();
 }
 
+std::string SolveFrame(uint64_t id, const std::string& query,
+                       uint64_t chaos_sleep_ms = 0) {
+  JsonObjectBuilder b;
+  b.Set("type", "solve").Set("id", id).Set("query", query);
+  if (chaos_sleep_ms > 0) b.Set("chaos_sleep_ms", chaos_sleep_ms);
+  return b.Build().Serialize();
+}
+
+// Polls until `predicate` holds or ~10s elapse.
+template <typename Fn>
+bool Eventually(Fn predicate) {
+  for (int i = 0; i < 10'000; ++i) {
+    if (predicate()) return true;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return predicate();
+}
+
 // Reads client frames for `id` until its terminal, appending tuples and
 // remembering the last mid-stream cursor seen. Returns the terminal.
 WireResponse DrainStream(NetClient& client, uint64_t id,
@@ -499,6 +518,94 @@ TEST(AnswersDaemonTest, ResumeOnAFreshConnectionCompletesTheStream) {
   DaemonStats stats = f.daemon->daemon_stats();
   EXPECT_EQ(stats.answers_streams, 2u);
   EXPECT_EQ(stats.answers_resumed, 1u);
+}
+
+// Solves and streams share one id space: a solve that reuses an open
+// stream's id is refused as a duplicate (no second request, no second
+// terminal for that id), and the stream runs on to exactly one
+// answer_done.
+TEST(AnswersDaemonTest, SolveReusingAnOpenStreamIdIsRefusedAsDuplicate) {
+  DaemonOptions options;
+  options.service.workers = 1;
+  DaemonFixture f(options, StreamFacts(10, 0));
+
+  ASSERT_TRUE(
+      f.Send(AnswersFrame(7, kStreamQuery, {"x"}, 1, "", /*chaos=*/50)).ok());
+  Result<WireResponse> first = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(first.ok()) << first.error();
+  ASSERT_EQ(first->type, "answer_chunk");
+  ASSERT_TRUE(f.Send(SolveFrame(7, "R(k01 | y)")).ok());
+
+  // Every frame but the stream's chunks, in arrival order, until the
+  // stream's own terminal.
+  std::vector<std::string> others;
+  size_t rows = first->tuples.size();
+  for (int guard = 0; guard < 100; ++guard) {
+    Result<WireResponse> r = f.client.ReadResponse(kIo);
+    ASSERT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(r->id, 7u);
+    if (r->type == "answer_chunk") {
+      rows += r->tuples.size();
+      continue;
+    }
+    if (r->type == "error") {
+      EXPECT_EQ(r->code, "parse");
+      EXPECT_NE(r->message.find("duplicate id"), std::string::npos)
+          << r->message;
+      EXPECT_FALSE(r->fatal);
+    }
+    others.push_back(r->type);
+    if (r->type == "answer_done" || others.size() > 2) break;
+  }
+  EXPECT_EQ(others, (std::vector<std::string>{"error", "answer_done"}));
+  EXPECT_EQ(rows, 10u);
+
+  // Nothing else is owed for id 7: a health probe is the very next frame.
+  ASSERT_TRUE(f.Send(R"({"type":"health","id":8})").ok());
+  Result<WireResponse> probe = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(probe.ok()) << probe.error();
+  EXPECT_EQ(probe->type, "health");
+  EXPECT_TRUE(f.daemon->Shutdown(milliseconds(5'000)));
+  EXPECT_EQ(f.daemon->daemon_stats().solves_admitted, 0u);
+}
+
+// A stream holds its in-flight slot for its whole life, so with a cap of
+// one an open stream turns a solve away as overloaded.
+TEST(AnswersDaemonTest, OpenStreamHoldsTheOnlyInflightSlotAgainstASolve) {
+  DaemonOptions options;
+  options.connection.max_inflight = 1;
+  DaemonFixture f(options, StreamFacts(10, 0));
+
+  ASSERT_TRUE(
+      f.Send(AnswersFrame(1, kStreamQuery, {"x"}, 1, "", /*chaos=*/50)).ok());
+  Result<WireResponse> first = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(first.ok()) << first.error();
+  ASSERT_EQ(first->type, "answer_chunk");
+  ASSERT_TRUE(f.Send(SolveFrame(2, "R(k01 | y)")).ok());
+
+  std::vector<std::vector<std::string>> rows = first->tuples;
+  std::optional<WireResponse> solve_terminal;
+  for (int guard = 0; guard < 100 && !solve_terminal; ++guard) {
+    Result<WireResponse> r = f.client.ReadResponse(kIo);
+    ASSERT_TRUE(r.ok()) << r.error();
+    if (r->id == 2) {
+      solve_terminal = *r;
+    } else {
+      ASSERT_EQ(r->type, "answer_chunk");
+      for (auto& row : r->tuples) rows.push_back(std::move(row));
+    }
+  }
+  ASSERT_TRUE(solve_terminal.has_value());
+  EXPECT_EQ(solve_terminal->type, "error");
+  EXPECT_EQ(solve_terminal->code, "overloaded");
+
+  WireResponse done = DrainStream(f.client, 1, &rows);
+  ASSERT_EQ(done.type, "answer_done") << done.message;
+  EXPECT_EQ(rows.size(), 10u);
+  EXPECT_TRUE(f.daemon->Shutdown(milliseconds(5'000)));
+  DaemonStats stats = f.daemon->daemon_stats();
+  EXPECT_EQ(stats.solves_rejected_inflight_cap, 1u);
+  EXPECT_EQ(stats.solves_admitted, 0u);
 }
 
 std::string DeltaFrame(uint64_t id, const std::string& delta_id,
@@ -634,6 +741,35 @@ TEST(AnswersChaosTest, SlowStreamNeverPinsTheOnlyWorker) {
   WireResponse done = DrainStream(f.client, 1, &rows);
   ASSERT_EQ(done.type, "answer_done") << done.message;
   EXPECT_EQ(rows.size(), 30u);
+  EXPECT_TRUE(f.daemon->Shutdown(milliseconds(5'000)));
+}
+
+
+// One disconnect sweep covers both kinds of request: hanging up with a
+// slow solve and a slow stream chunk in flight cancels both in the
+// service, long before their sleeps could end on their own.
+TEST(AnswersChaosTest, ClientDisconnectCancelsSolvesAndStreamChunks) {
+  DaemonOptions options;
+  options.service.workers = 2;
+  DaemonFixture f(options, StreamFacts(10, 0));
+
+  ASSERT_TRUE(f.Send(SolveFrame(1, "R(k01 | y)", /*chaos=*/60'000)).ok());
+  ASSERT_TRUE(
+      f.Send(AnswersFrame(2, kStreamQuery, {"x"}, 1, "", /*chaos=*/60'000))
+          .ok());
+  ASSERT_TRUE(Eventually([&] {
+    return f.daemon->service_stats().inflight == 2;
+  })) << "the solve and the first chunk never both started";
+
+  f.client.Close();  // hang up with both in flight
+
+  ASSERT_TRUE(Eventually([&] {
+    return f.daemon->service_stats().cancelled == 2;
+  })) << "outstanding jobs were not cancelled on disconnect; stats: "
+      << f.daemon->service_stats().ToString();
+  ServiceStats stats = f.daemon->service_stats();
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.inflight, 0u);
   EXPECT_TRUE(f.daemon->Shutdown(milliseconds(5'000)));
 }
 

@@ -553,18 +553,12 @@ TEST(SolveServiceTest, CancelledQueuedRequestNeverRuns) {
 
 // Mixed-deadline load on one worker: a blocker occupies the worker while
 // three relaxed no-deadline sleepers and one urgent submit-anchored job sit
-// in the queue. Returns the service stats and the urgent job's result.
-struct MixedLoadOutcome {
-  ServiceStats stats;
-  Result<SolveReport> urgent = Result<SolveReport>::Error(ErrorCode::kInternal,
-                                                          "no response");
-};
-
-MixedLoadOutcome RunMixedDeadlineLoad(QueueDiscipline discipline) {
+// in the queue. The earliest-deadline-first queue runs the urgent job
+// before it can expire there.
+TEST(SolveServiceTest, EdfServesUrgentJobsBeforeTheyExpireInTheQueue) {
   auto db = Db("R(a | b), R(a | c)\nS(b | a)");
   ServiceOptions options;
   options.workers = 1;
-  options.discipline = discipline;
   SolveService service(options);
   ResponseSink sink;
 
@@ -578,16 +572,16 @@ MixedLoadOutcome RunMixedDeadlineLoad(QueueDiscipline discipline) {
   EXPECT_EQ(service.Stats().inflight, 1u) << "blocker never started";
 
   // Three relaxed jobs (250ms each, no deadline) queued ahead of the
-  // urgent one in FIFO order.
+  // urgent one in arrival order.
   for (int i = 0; i < 3; ++i) {
     ServeJob relaxed(Q("R(x | y)"), db);
     relaxed.chaos_sleep = milliseconds(250);
     EXPECT_TRUE(service.Submit(std::move(relaxed), sink.Callback()).ok());
   }
-  // Urgent job: 500ms budget anchored at submit time. Under FIFO it waits
-  // ~150 + 3*250 = 900ms in the queue and expires before it runs; under
-  // EDF it is popped first (the others sort last, having no deadline) and
-  // runs at ~150ms with most of its budget intact.
+  // Urgent job: 500ms budget anchored at submit time. In arrival order it
+  // would wait ~150 + 3*250 = 900ms in the queue and expire before it
+  // runs; EDF pops it first (the others sort last, having no deadline), so
+  // it runs at ~150ms with most of its budget intact.
   ServeJob urgent(Q("R(x | y)"), db);
   urgent.timeout = milliseconds(500);
   urgent.deadline_from_submit = true;
@@ -597,32 +591,19 @@ MixedLoadOutcome RunMixedDeadlineLoad(QueueDiscipline discipline) {
   urgent.method = SolverMethod::kBacktracking;
   Result<uint64_t> urgent_id = service.Submit(std::move(urgent),
                                               sink.Callback());
-  EXPECT_TRUE(urgent_id.ok());
+  ASSERT_TRUE(urgent_id.ok());
 
-  EXPECT_TRUE(sink.WaitForCount(5)) << "responses missing";
+  ASSERT_TRUE(sink.WaitForCount(5)) << "responses missing";
   EXPECT_TRUE(service.Shutdown(milliseconds(10'000)));
-  MixedLoadOutcome out;
-  out.stats = service.Stats();
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.completed, 5u);
   for (const ServeResponse& r : sink.responses) {
-    if (r.id == urgent_id.value()) out.urgent = r.result;
+    if (r.id != urgent_id.value()) continue;
+    ASSERT_TRUE(r.result.ok())
+        << "EDF must run the urgent job first: " << r.result.error();
+    EXPECT_EQ(r.result->verdict, Verdict::kCertain);
   }
-  return out;
-}
-
-TEST(SolveServiceTest, EdfServesUrgentJobsBeforeTheyExpireInTheQueue) {
-  MixedLoadOutcome fifo = RunMixedDeadlineLoad(QueueDiscipline::kFifo);
-  ASSERT_FALSE(fifo.urgent.ok())
-      << "FIFO must let the urgent job expire while queued";
-  EXPECT_EQ(fifo.urgent.code(), ErrorCode::kDeadlineExceeded);
-  EXPECT_EQ(fifo.stats.failed, 1u);
-  EXPECT_EQ(fifo.stats.completed, 4u);
-
-  MixedLoadOutcome edf = RunMixedDeadlineLoad(QueueDiscipline::kEdf);
-  ASSERT_TRUE(edf.urgent.ok())
-      << "EDF must run the urgent job first: " << edf.urgent.error();
-  EXPECT_EQ(edf.urgent->verdict, Verdict::kCertain);
-  EXPECT_EQ(edf.stats.failed, 0u);
-  EXPECT_EQ(edf.stats.completed, 5u);
 }
 
 TEST(SolveServiceTest, DestructorShutsDownAnIdleService) {

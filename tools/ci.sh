@@ -59,10 +59,16 @@ stages=("$@")
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
+# Every preset build here treats compiler warnings as errors (CMake's
+# COMPILE_WARNING_AS_ERROR, so each preset keeps its own flags). The
+# tier-1 command does not set it (a build/ that ci.sh configured keeps
+# the cache entry), nor does the Release perfbench build: at -O3 GCC 12
+# reports -Wrestrict false positives inside libstdc++'s string
+# concatenation.
 run_stage() {
   local name="$1" configure="$2" build="$3" test="$4"
   echo "==== [$name] configure"
-  cmake --preset "$configure"
+  cmake --preset "$configure" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   echo "==== [$name] build"
   cmake --build --preset "$build" -j "$jobs"
   echo "==== [$name] test"
